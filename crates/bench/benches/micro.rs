@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evcap_core::{
-    AggressivePolicy, ClusteringPolicy, EnergyBudget, EvalOptions, ExhaustiveSearch, GreedyPolicy,
+    AggressivePolicy, ClusteringOptimizer, ClusteringPolicy, EnergyBudget, EvalOptions,
+    ExhaustiveSearch, GreedyPolicy,
 };
 use evcap_dist::{Discretizer, SlotPmf, SlotSampler, Weibull};
 use evcap_energy::{BernoulliRecharge, ConsumptionModel, Energy};
@@ -37,6 +38,29 @@ fn bench_clustering_evaluate(c: &mut Criterion) {
     let policy = ClusteringPolicy::new(25, 45, 60, 0.5, 1.0, 1.0).unwrap();
     c.bench_function("clustering_evaluate_weibull", |b| {
         b.iter(|| policy.evaluate(&pmf, &consumption, EvalOptions::default()))
+    });
+}
+
+fn bench_clustering_optimize(c: &mut Criterion) {
+    // The whole clustering search: lattice sweep, c_{n1} balance and
+    // refinement. The warm run is seeded from the e = 0.25 optimum, the
+    // way solve-fleet hands hints along an ascending-e chain.
+    let pmf = weibull_pmf();
+    let consumption = ConsumptionModel::paper_defaults();
+    let optimizer = ClusteringOptimizer::new(EnergyBudget::per_slot(0.3));
+    c.bench_function("clustering_optimize_weibull_cold", |b| {
+        b.iter(|| optimizer.optimize(&pmf, &consumption).unwrap())
+    });
+    let (seed, _) = ClusteringOptimizer::new(EnergyBudget::per_slot(0.25))
+        .optimize(&pmf, &consumption)
+        .unwrap();
+    let hint = Some((seed.n1(), seed.n2(), seed.n3()));
+    c.bench_function("clustering_optimize_weibull_warm", |b| {
+        b.iter(|| {
+            optimizer
+                .optimize_counted_with_hint(&pmf, &consumption, hint)
+                .unwrap()
+        })
     });
 }
 
@@ -152,6 +176,7 @@ criterion_group!(
     benches,
     bench_greedy_optimize,
     bench_clustering_evaluate,
+    bench_clustering_optimize,
     bench_belief_dp,
     bench_simulator_throughput,
     bench_simulator_throughput_observed,

@@ -4,8 +4,8 @@
 //! `solve-fleet` expands a cartesian scenario matrix (distributions × e
 //! rates × policy families), groups it by `(dist, policy)`, and solves
 //! each group in ascending-`e` order so every clustering solve can
-//! warm-start from its predecessor's `(n1, n2, n3)` optimum — the same
-//! trust-region seeding `evcap_spec::solve_with_hint` certifies as
+//! warm-start from its predecessor's `(n1, n2, n3)` optimum — the
+//! screened sweep `evcap_spec::solve_with_hint` certifies as
 //! bit-identical to a cold solve. Groups fan out across threads through
 //! `evcap_sim::parallel`; the store itself is only touched from this
 //! thread (appends are cheap, solves are not).

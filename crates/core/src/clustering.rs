@@ -23,7 +23,7 @@
 
 use evcap_dist::SlotPmf;
 use evcap_energy::ConsumptionModel;
-use evcap_renewal::AgeBeliefDp;
+use evcap_renewal::{AgeBeliefDp, HazardTable};
 
 use crate::greedy::EnergyBudget;
 use crate::objective::{CycleMoments, Objective};
@@ -241,69 +241,222 @@ pub fn evaluate_partial_info_moments(
     consumption: &ConsumptionModel,
     opts: EvalOptions,
 ) -> (ClusterEvaluation, CycleMoments) {
-    let d1 = consumption.delta1_units();
-    let d2 = consumption.delta2_units();
-    let mut dp = AgeBeliefDp::new(pmf);
-    let mut cycle = 0.0; // Σ_{i≥0} S_i accumulates E[T]; S_0 = 1 added below.
-    let mut cycle2 = 0.0; // Σ_{i≥1} (2i−1)·S_{i−1} accumulates E[T²].
-    let mut energy = 0.0; // expected energy per cycle
-    let mut prev_survival = 1.0;
-    let mut last_capture_hazard = 0.0;
-    let mut last_c = 0.0;
-    let mut last_hazard = 0.0;
-    while prev_survival > opts.survival_eps && dp.next_slot() <= opts.max_slots {
-        cycle += prev_survival;
-        cycle2 += (2 * dp.next_slot() - 1) as f64 * prev_survival;
-        let c = policy(dp.next_slot());
-        let step = dp.step(c);
-        energy += prev_survival * c * (d1 + step.hazard * d2);
-        last_capture_hazard = c * step.hazard;
-        last_c = c;
-        last_hazard = step.hazard;
-        prev_survival = step.survival;
-    }
-    // Geometric continuation for whatever survival remains: capture per slot
-    // with probability ≈ last observed c·β̂.
-    let residual = prev_survival;
-    if residual > 0.0 {
-        if last_capture_hazard > 1e-12 {
-            let p = last_capture_hazard;
-            // Σ_{k≥0} residual·(1 − p)^k slots remain on average.
-            let extra_slots = residual / p;
-            cycle += extra_slots;
-            // Σ_{k≥0} (2(m+k)−1)·residual·(1−p)^k with m the first
-            // unevaluated slot.
-            let m = dp.next_slot() as f64;
-            cycle2 += residual * ((2.0 * m - 1.0) / p + 2.0 * (1.0 - p) / (p * p));
-            energy += extra_slots * last_c * (d1 + last_hazard * d2);
-        } else {
-            // The policy never captures from here on: the cycle never ends.
-            return (
-                ClusterEvaluation {
-                    capture_probability: 0.0,
-                    discharge_rate: 0.0,
-                    expected_cycle: f64::INFINITY,
-                    truncated_survival: residual,
-                },
-                CycleMoments {
-                    first: f64::INFINITY,
-                    second: f64::INFINITY,
-                },
-            );
+    let hazards = HazardTable::new(pmf, opts.max_slots);
+    let mut chain = ChainEval::new(AgeBeliefDp::new(&hazards), pmf.mean(), consumption, opts);
+    chain.run(policy);
+    let walk = chain.finish();
+    (walk.eval, walk.moments)
+}
+
+/// The capture-chain walk behind [`evaluate_partial_info_moments`], one
+/// slot at a time.
+///
+/// A walk stops for good once the chain survival falls to
+/// [`EvalOptions::survival_eps`] or the slot cap is reached; after that,
+/// advancing is a no-op. So a clone taken at slot `k` is a checkpoint of
+/// *every* policy that agrees on slots `1..k`: resuming it under any such
+/// policy yields bit for bit what a walk from scratch would. The
+/// clustering search shares chain prefixes between lattice candidates
+/// this way, and [`MyopicPolicy`](crate::MyopicPolicy) reads its
+/// threshold decisions off the chain it is evaluating.
+#[derive(Debug)]
+pub(crate) struct ChainEval<'a> {
+    dp: AgeBeliefDp<'a>,
+    /// The pmf mean `μ`, for `U = μ / E[T]`.
+    mean: f64,
+    d1: f64,
+    d2: f64,
+    opts: EvalOptions,
+    /// `Σ_{i≥0} S_i` so far: `E[T]` once finished.
+    cycle: f64,
+    /// `Σ_{i≥1} (2i−1)·S_{i−1}` so far: `E[T²]` once finished.
+    cycle2: f64,
+    /// Expected energy per cycle so far.
+    energy: f64,
+    /// Chain survival before the next slot.
+    survival: f64,
+    last_capture_hazard: f64,
+    last_c: f64,
+    last_hazard: f64,
+}
+
+/// A finished [`ChainEval`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    pub(crate) eval: ClusterEvaluation,
+    pub(crate) moments: CycleMoments,
+    /// Expected energy per cycle, the numerator of `discharge_rate`.
+    energy: f64,
+}
+
+impl Clone for ChainEval<'_> {
+    fn clone(&self) -> Self {
+        Self {
+            dp: self.dp.clone(),
+            ..*self
         }
     }
-    (
-        ClusterEvaluation {
-            capture_probability: (pmf.mean() / cycle).clamp(0.0, 1.0),
-            discharge_rate: energy / cycle,
-            expected_cycle: cycle,
-            truncated_survival: residual,
-        },
-        CycleMoments {
-            first: cycle,
-            second: cycle2,
-        },
-    )
+
+    /// Reuses the belief's bucket allocation, so restarting a walk from a
+    /// checkpoint allocates nothing once the scratch chain has grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.dp.clone_from(&source.dp);
+        self.mean = source.mean;
+        self.d1 = source.d1;
+        self.d2 = source.d2;
+        self.opts = source.opts;
+        self.cycle = source.cycle;
+        self.cycle2 = source.cycle2;
+        self.energy = source.energy;
+        self.survival = source.survival;
+        self.last_capture_hazard = source.last_capture_hazard;
+        self.last_c = source.last_c;
+        self.last_hazard = source.last_hazard;
+    }
+}
+
+impl<'a> ChainEval<'a> {
+    /// Starts a walk at slot 1 (an event was just captured).
+    pub(crate) fn new(
+        dp: AgeBeliefDp<'a>,
+        mean: f64,
+        consumption: &ConsumptionModel,
+        opts: EvalOptions,
+    ) -> Self {
+        Self {
+            dp,
+            mean,
+            d1: consumption.delta1_units(),
+            d2: consumption.delta2_units(),
+            opts,
+            cycle: 0.0,
+            cycle2: 0.0,
+            energy: 0.0,
+            survival: 1.0,
+            last_capture_hazard: 0.0,
+            last_c: 0.0,
+            last_hazard: 0.0,
+        }
+    }
+
+    /// Whether the walk still runs: survival above the cut-off and the
+    /// slot cap not yet reached.
+    pub(crate) fn live(&self) -> bool {
+        self.survival > self.opts.survival_eps && self.dp.next_slot() <= self.opts.max_slots
+    }
+
+    /// The belief the walk has propagated so far.
+    pub(crate) fn belief(&self) -> &AgeBeliefDp<'a> {
+        &self.dp
+    }
+
+    /// Processes the next slot under activation probability `c`; a no-op
+    /// once the walk has stopped.
+    pub(crate) fn advance(&mut self, c: f64) {
+        if self.live() {
+            self.slot(c);
+        }
+    }
+
+    /// Processes every slot up to and including `last` under `c`.
+    fn advance_through(&mut self, last: usize, c: f64) {
+        while self.live() && self.dp.next_slot() <= last {
+            self.slot(c);
+        }
+    }
+
+    /// Runs to the end under `policy(i)`.
+    fn run(&mut self, policy: impl Fn(usize) -> f64) {
+        while self.live() {
+            let c = policy(self.dp.next_slot());
+            self.slot(c);
+        }
+    }
+
+    /// Runs to the end fully active: aggressive recovery.
+    pub(crate) fn recover(&mut self) {
+        self.advance_through(usize::MAX, 1.0);
+    }
+
+    fn slot(&mut self, c: f64) {
+        let survival = self.survival;
+        self.cycle += survival;
+        self.cycle2 += (2 * self.dp.next_slot() - 1) as f64 * survival;
+        let step = self.dp.step(c);
+        self.energy += survival * c * (self.d1 + step.hazard * self.d2);
+        self.last_capture_hazard = c * step.hazard;
+        self.last_c = c;
+        self.last_hazard = step.hazard;
+        self.survival = step.survival;
+    }
+
+    /// Closes the walk: whatever survival remains is captured per slot
+    /// with probability ≈ the last observed `c·β̂` (a geometric
+    /// continuation).
+    pub(crate) fn finish(&self) -> Walk {
+        let residual = self.survival;
+        let (mut cycle, mut cycle2, mut energy) = (self.cycle, self.cycle2, self.energy);
+        if residual > 0.0 {
+            if self.last_capture_hazard > 1e-12 {
+                let p = self.last_capture_hazard;
+                // Σ_{k≥0} residual·(1 − p)^k slots remain on average.
+                let extra_slots = residual / p;
+                cycle += extra_slots;
+                // Σ_{k≥0} (2(m+k)−1)·residual·(1−p)^k with m the first
+                // unevaluated slot.
+                let m = self.dp.next_slot() as f64;
+                cycle2 += residual * ((2.0 * m - 1.0) / p + 2.0 * (1.0 - p) / (p * p));
+                energy += extra_slots * self.last_c * (self.d1 + self.last_hazard * self.d2);
+            } else {
+                // The policy never captures from here on: the cycle never ends.
+                return Walk {
+                    eval: ClusterEvaluation {
+                        capture_probability: 0.0,
+                        discharge_rate: 0.0,
+                        expected_cycle: f64::INFINITY,
+                        truncated_survival: residual,
+                    },
+                    moments: CycleMoments {
+                        first: f64::INFINITY,
+                        second: f64::INFINITY,
+                    },
+                    energy,
+                };
+            }
+        }
+        Walk {
+            eval: ClusterEvaluation {
+                capture_probability: (self.mean / cycle).clamp(0.0, 1.0),
+                discharge_rate: energy / cycle,
+                expected_cycle: cycle,
+                truncated_survival: residual,
+            },
+            moments: CycleMoments {
+                first: cycle,
+                second: cycle2,
+            },
+            energy,
+        }
+    }
+
+    /// Resumes from `prefix` and recovers to the end.
+    fn recover_from(&mut self, prefix: &Self) -> Walk {
+        self.clone_from(prefix);
+        self.recover();
+        self.finish()
+    }
+
+    /// Walks the clustering policy `(n1, n2, n3)` with `c_{n1} = c` (and
+    /// `c_{n2} = c_{n3} = 1`) from `cool`, the all-cooling prefix through
+    /// slot `n1 − 1`.
+    fn variant_from(&mut self, cool: &Self, c: f64, (_, n2, n3): Lattice) -> Walk {
+        self.clone_from(cool);
+        self.advance(c);
+        self.advance_through(n2, 1.0);
+        self.advance_through(n3 - 1, 0.0);
+        self.recover();
+        self.finish()
+    }
 }
 
 impl ClusteringPolicy {
@@ -389,7 +542,7 @@ impl ClusteringOptimizer {
 
     /// Ranks candidates by `objective` instead of QoM. Under
     /// [`Objective::Qom`] the search is unchanged bit for bit; the age
-    /// objectives reuse the same lattice and energy-balance bisection but
+    /// objectives reuse the same lattice and `c_{n1}` energy balance but
     /// accept by [`Objective::score`]. The `c_{n1}` balance (spend the whole
     /// budget) remains a heuristic for `AoiMean`, which can in principle
     /// prefer leaving energy unspent; it is provably optimal for `AoiPeak`,
@@ -451,13 +604,14 @@ impl ClusteringOptimizer {
     ///
     /// The warm pass prices the hint on this scenario, then walks the cold
     /// search's lattice **in the cold order with the cold accept rule**,
-    /// skipping the expensive budget bisection for every candidate whose
+    /// skipping the `c_{n1}` budget balance for every candidate whose
     /// upper bound (the fully-open variant, pointwise at least any
     /// budget-balanced variant) cannot come within a fixed slack of the
     /// hint's value. Skipped candidates provably cannot be the cold
     /// sweep's final grid optimum, so when the surviving best clears the
     /// threshold the warm search returns the cold policy **bit for bit**
-    /// while evaluating far fewer candidates. Whenever that cannot be
+    /// while pricing fewer candidates (every lattice point still pays for
+    /// its fully-open walk, the screen's upper bound). Whenever that cannot be
     /// certified — the hint violates the search bounds, prices as
     /// infeasible, or out-values the entire surviving lattice — the search
     /// falls back to the full cold enumeration. Successful warm passes
@@ -485,17 +639,21 @@ impl ClusteringOptimizer {
             .max_n3
             .unwrap_or_else(|| (2 * q999).max(lo + 4))
             .max(lo + 1);
+        // One hazard table per search, reaching the slot cap no walk
+        // passes; every walk below borrows it.
+        let table = HazardTable::new(pmf, self.eval.max_slots);
+        let mut walker = Walker::new(&table, pmf.mean(), consumption, self.eval);
         let mut candidates = 0u64;
         for _ in 0..8 {
             if let Some(h) = hint {
                 if let Some((policy, eval)) =
-                    self.search_warm(pmf, consumption, lo, hi, h, &mut candidates)
+                    self.search_warm(&mut walker, lo, hi, h, &mut candidates)
                 {
                     evcap_obs::timing::add_count("clustering.warm_hits", 1);
                     return Ok((policy, eval, candidates));
                 }
             }
-            if let Some((policy, eval)) = self.search(pmf, consumption, lo, hi, &mut candidates) {
+            if let Some((policy, eval)) = self.search(&mut walker, lo, hi, &mut candidates) {
                 return Ok((policy, eval, candidates));
             }
             if self.max_n3.is_some() {
@@ -510,49 +668,33 @@ impl ClusteringOptimizer {
     /// `[lo, hi]`.
     fn search(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        walker: &mut Walker<'_>,
         lo: usize,
         hi: usize,
         candidates: &mut u64,
     ) -> Option<(ClusteringPolicy, ClusterEvaluation)> {
         let _span = evcap_obs::timing::span("clustering.search");
         let step = ((hi - lo) / self.grid_points).max(1);
-
         let mut best: Option<Ranked> = None;
-        let mut n1 = lo.max(1);
-        while n1 <= hi {
-            let mut n2 = n1;
-            while n2 <= hi {
-                let mut n3 = n2;
-                while n3 <= hi {
-                    self.consider(pmf, consumption, n1, n2, n3, &mut best, candidates);
-                    n3 += step;
-                }
-                n2 += step;
-            }
-            n1 += step;
-        }
-
-        self.refine(pmf, consumption, lo, hi, step, &mut best, candidates);
+        self.sweep(walker, lo, hi, step, None, &mut best, candidates);
+        self.refine(walker, lo, hi, step, &mut best, candidates);
         best.map(|r| (r.policy, r.eval))
     }
 
     /// The warm-hinted counterpart of [`ClusteringOptimizer::search`]: the
     /// same lattice, enumerated in the same order with the same accept
     /// rule, except that candidates whose upper bound cannot reach the
-    /// hint-derived threshold are screened out before the budget
-    /// bisection. Returns `None` when the screened sweep's verdict cannot
-    /// be certified as the cold sweep's (see
+    /// hint-derived threshold are screened out before the budget balance.
+    /// Returns `None` when the screened sweep's verdict cannot be
+    /// certified as the cold sweep's (see
     /// [`ClusteringOptimizer::optimize_counted_with_hint`]), which sends
     /// the caller to the full enumeration.
     fn search_warm(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        walker: &mut Walker<'_>,
         lo: usize,
         hi: usize,
-        hint: (usize, usize, usize),
+        hint: Lattice,
         candidates: &mut u64,
     ) -> Option<(ClusteringPolicy, ClusterEvaluation)> {
         if self.objective != Objective::Qom {
@@ -574,7 +716,7 @@ impl ClusteringOptimizer {
         // off-lattice, and the equivalence argument below needs `best` to
         // see exactly the candidates the cold sweep would accept.
         let mut priced: Option<Ranked> = None;
-        self.consider(pmf, consumption, h1, h2, h3, &mut priced, candidates);
+        self.consider(walker, hint, &mut priced, candidates);
         let hint_eval = priced?.eval;
         let threshold = hint_eval.capture_probability - WARM_SLACK;
         if threshold <= 0.0 {
@@ -582,7 +724,7 @@ impl ClusteringOptimizer {
         }
 
         // Cold lattice, cold order, cold accept rule — but a candidate is
-        // only *considered* (feasibility + c_n1 bisection) if the capture
+        // only *considered* (feasibility + c_n1 balance) if the capture
         // probability of its fully-open variant, which bounds every
         // budget-balanced variant from above, clears the threshold. A
         // screened-out candidate therefore has value ≤ threshold, so if
@@ -590,43 +732,9 @@ impl ClusteringOptimizer {
         // skipped candidate could have been the cold sweep's grid optimum
         // (nor perturbed the accept chain that selects it), and the
         // identical refinement below reproduces the cold policy bit for
-        // bit. Per-`n1` subtrees are screened first with the everything-
-        // from-`n1`-on bound, which dominates every `(n2, n3)` choice.
+        // bit.
         let mut best: Option<Ranked> = None;
-        let mut n1 = lo.max(1);
-        while n1 <= hi {
-            let subtree_ub = ClusteringPolicy::new(n1, hi, hi, 1.0, 1.0, 1.0)
-                .map(|p| p.evaluate(pmf, consumption, self.eval).capture_probability)
-                .unwrap_or(0.0);
-            evcap_obs::timing::add_count("clustering.screened", 1);
-            if subtree_ub > threshold {
-                let mut n2 = n1;
-                while n2 <= hi {
-                    let mut n3 = n2;
-                    while n3 <= hi {
-                        if let Ok(full) = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0) {
-                            evcap_obs::timing::add_count("clustering.screened", 1);
-                            let (eval_full, moments_full) =
-                                full.evaluate_moments(pmf, consumption, self.eval);
-                            if eval_full.capture_probability > threshold {
-                                self.consider_priced(
-                                    pmf,
-                                    consumption,
-                                    full,
-                                    eval_full,
-                                    moments_full,
-                                    &mut best,
-                                    candidates,
-                                );
-                            }
-                        }
-                        n3 += step;
-                    }
-                    n2 += step;
-                }
-            }
-            n1 += step;
-        }
+        self.sweep(walker, lo, hi, step, Some(threshold), &mut best, candidates);
 
         let grid_value = best.as_ref().map(|r| r.eval.capture_probability)?;
         if grid_value < threshold + 2e-9 {
@@ -634,18 +742,100 @@ impl ClusteringOptimizer {
             // pruned sweep and the cold sweep agree on the grid optimum.
             return None;
         }
-        self.refine(pmf, consumption, lo, hi, step, &mut best, candidates);
+        self.refine(walker, lo, hi, step, &mut best, candidates);
         best.map(|r| (r.policy, r.eval))
+    }
+
+    /// The coarse lattice `n1 ≤ n2 ≤ n3` over `[lo, hi]` with stride
+    /// `step`, shared by the cold and warm searches.
+    ///
+    /// Candidates agree on long chain prefixes, so the walker extends them
+    /// instead of re-walking: the all-cooling prefix once per `n1`, the
+    /// fully-open and closed (`c_{n1} = 0`) hot prefixes once per
+    /// `(n1, n2)`, and their second cooling region once per `n3`. Each
+    /// candidate then walks only its own recovery tail (plus the
+    /// `c_{n1}` balance walks when it overspends).
+    ///
+    /// With a `screen` threshold (the warm search), a candidate is only
+    /// considered if its fully-open capture probability clears it, and a
+    /// whole `n1` subtree is skipped unless the everything-from-`n1`-on
+    /// bound does, which dominates every `(n2, n3)` choice.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &self,
+        w: &mut Walker<'_>,
+        lo: usize,
+        hi: usize,
+        step: usize,
+        screen: Option<f64>,
+        best: &mut Option<Ranked>,
+        candidates: &mut u64,
+    ) {
+        let mut n1 = lo.max(1);
+        while n1 <= hi {
+            w.cool_to(n1);
+            let Walker {
+                cool,
+                hot_full,
+                hot_closed,
+                cool2_full,
+                cool2_closed,
+                tail,
+                probe,
+                ..
+            } = &mut *w;
+            let subtree_open = screen.is_none_or(|threshold| {
+                evcap_obs::timing::add_count("clustering.screened", 1);
+                tail.recover_from(cool).eval.capture_probability > threshold
+            });
+            if !subtree_open {
+                n1 += step;
+                continue;
+            }
+            hot_full.clone_from(cool);
+            hot_full.advance(1.0);
+            hot_closed.clone_from(cool);
+            hot_closed.advance(0.0);
+            let mut n2 = n1;
+            while n2 <= hi {
+                hot_full.advance_through(n2, 1.0);
+                hot_closed.advance_through(n2, 1.0);
+                cool2_full.clone_from(hot_full);
+                cool2_closed.clone_from(hot_closed);
+                let mut n3 = n2;
+                while n3 <= hi {
+                    cool2_full.advance_through(n3 - 1, 0.0);
+                    cool2_closed.advance_through(n3 - 1, 0.0);
+                    let full = tail.recover_from(cool2_full);
+                    let open = screen.is_none_or(|threshold| {
+                        evcap_obs::timing::add_count("clustering.screened", 1);
+                        full.eval.capture_probability > threshold
+                    });
+                    if open {
+                        let lattice = (n1, n2, n3);
+                        self.consider_priced(
+                            lattice,
+                            full,
+                            || tail.recover_from(cool2_closed),
+                            |c| probe.variant_from(cool, c, lattice),
+                            best,
+                            candidates,
+                        );
+                    }
+                    n3 += step;
+                }
+                n2 += step;
+            }
+            n1 += step;
+        }
     }
 
     /// Local refinement shared by the cold and warm searches: coordinate
     /// descent with shrinking step, seeded from (and folding back into)
     /// `best`.
-    #[allow(clippy::too_many_arguments)]
     fn refine(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
+        walker: &mut Walker<'_>,
         lo: usize,
         hi: usize,
         step: usize,
@@ -670,19 +860,12 @@ impl ClusteringOptimizer {
                             {
                                 continue;
                             }
+                            let cand = (cand[0] as usize, cand[1] as usize, cand[2] as usize);
                             let before = best.as_ref().map(|r| r.score);
-                            self.consider(
-                                pmf,
-                                consumption,
-                                cand[0] as usize,
-                                cand[1] as usize,
-                                cand[2] as usize,
-                                best,
-                                candidates,
-                            );
+                            self.consider(walker, cand, best, candidates);
                             let after = best.as_ref().map(|r| r.score);
                             if after > before {
-                                current = (cand[0] as usize, cand[1] as usize, cand[2] as usize);
+                                current = cand;
                                 improved = true;
                             }
                         }
@@ -696,91 +879,221 @@ impl ClusteringOptimizer {
         }
     }
 
-    /// Evaluates the `(n1, n2, n3)` candidate (balancing `c_{n1}` if the full
-    /// policy overshoots the budget) and folds it into `best`.
-    #[allow(clippy::too_many_arguments)]
+    /// Prices the `(n1, n2, n3)` candidate off the lattice (refinement and
+    /// warm hints) and folds it into `best`.
     fn consider(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
-        n1: usize,
-        n2: usize,
-        n3: usize,
+        w: &mut Walker<'_>,
+        lattice: Lattice,
         best: &mut Option<Ranked>,
         candidates: &mut u64,
     ) {
-        let Ok(full) = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0) else {
+        let (n1, n2, n3) = lattice;
+        if ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0).is_err() {
             return;
-        };
-        let (eval_full, moments_full) = full.evaluate_moments(pmf, consumption, self.eval);
+        }
+        w.cool_to(n1);
+        let Walker {
+            cool, tail, probe, ..
+        } = &mut *w;
+        let full = probe.variant_from(cool, 1.0, lattice);
         self.consider_priced(
-            pmf,
-            consumption,
+            lattice,
             full,
-            eval_full,
-            moments_full,
+            || tail.variant_from(cool, 0.0, lattice),
+            |c| probe.variant_from(cool, c, lattice),
             best,
             candidates,
         );
     }
 
-    /// [`ClusteringOptimizer::consider`] with the fully-open evaluation
-    /// already in hand (the warm screen computes it as its upper bound).
-    #[allow(clippy::too_many_arguments)]
+    /// Counts the candidate, balances it against the budget, and folds it
+    /// into `best`. `full` is its fully-open walk; `closed` and `walk_at`
+    /// produce the `c_{n1} = 0` and `c_{n1} = c` walks on demand.
     fn consider_priced(
         &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
-        full: ClusteringPolicy,
-        eval_full: ClusterEvaluation,
-        moments_full: CycleMoments,
+        (n1, n2, n3): Lattice,
+        full: Walk,
+        closed: impl FnOnce() -> Walk,
+        walk_at: impl FnMut(f64) -> Walk,
         best: &mut Option<Ranked>,
         candidates: &mut u64,
     ) {
         *candidates += 1;
         evcap_obs::timing::add_count("clustering.candidates", 1);
-        let e = self.budget.rate();
-        let candidate = if eval_full.discharge_rate <= e {
-            Some((full, eval_full, moments_full))
-        } else {
-            // Over budget: shrink the hot-region entry coefficient.
-            let closed = full.with_c_n1(0.0);
-            let (eval_closed, moments_closed) =
-                closed.evaluate_moments(pmf, consumption, self.eval);
-            if eval_closed.discharge_rate > e {
-                None // even the narrowest variant is infeasible
-            } else {
-                // Bisect c_n1 for energy balance (discharge is monotone).
-                let (mut lo_c, mut hi_c) = (0.0f64, 1.0f64);
-                let mut chosen = (closed, eval_closed, moments_closed);
-                for _ in 0..24 {
-                    let mid = 0.5 * (lo_c + hi_c);
-                    let p = full.with_c_n1(mid);
-                    let (ev, mo) = p.evaluate_moments(pmf, consumption, self.eval);
-                    if ev.discharge_rate <= e {
-                        chosen = (p, ev, mo);
-                        lo_c = mid;
-                    } else {
-                        hi_c = mid;
-                    }
-                }
-                Some(chosen)
-            }
-        };
-        if let Some((policy, eval, moments)) = candidate {
-            let score = self.objective.score(&eval, &moments);
+        if let Some((c_n1, walk)) = self.balanced(full, closed, walk_at) {
+            let score = self.objective.score(&walk.eval, &walk.moments);
             let better = match best {
                 None => true,
                 Some(b) => score > b.score + 1e-12,
             };
             if better {
                 *best = Some(Ranked {
-                    policy,
-                    eval,
+                    policy: ClusteringPolicy {
+                        n1,
+                        n2,
+                        n3,
+                        c_n1,
+                        c_n2: 1.0,
+                        c_n3: 1.0,
+                    },
+                    eval: walk.eval,
                     score,
                 });
             }
         }
+    }
+
+    /// The budget-balanced variant of a candidate, as `(c_{n1}, walk)`:
+    /// fully open when that fits the budget, `None` when even the closed
+    /// variant overspends, and otherwise the largest dyadic
+    /// `c_{n1} = k/2^24` whose walk fits.
+    ///
+    /// That point is the answer of a 24-step bisection over `c_{n1}`
+    /// (which brackets a feasible `lo` and an infeasible `hi`, starting
+    /// from `[0, 1]`), under the monotonicity the bisection assumes. It is
+    /// found in about two walks: the activation coin at `n1` is
+    /// independent of the rest of the chain, so the per-cycle energy and
+    /// `E[T]` are both affine in `c_{n1}`, and the budget root `c*`
+    /// follows from the full and closed walks. A galloping search outward
+    /// from `⌊c*·2^24⌋` then brackets the last feasible dyadic point with
+    /// real walks, so rounding in `c*` costs walks, never the answer.
+    fn balanced(
+        &self,
+        full: Walk,
+        closed: impl FnOnce() -> Walk,
+        mut walk_at: impl FnMut(f64) -> Walk,
+    ) -> Option<(f64, Walk)> {
+        /// `c_{n1}` resolution. The grid and the last-feasible rule are
+        /// what earlier releases' bisection returned, which keeps stored
+        /// artifacts byte-identical across the change of method.
+        const TOP: u32 = 1 << 24;
+        let e = self.budget.rate();
+        if full.eval.discharge_rate <= e {
+            return Some((1.0, full));
+        }
+        let closed = closed();
+        if closed.eval.discharge_rate > e {
+            return None; // even the narrowest variant is infeasible
+        }
+        let fits = |walk: &Walk| walk.eval.discharge_rate <= e;
+        let mut at = |k: u32| walk_at(f64::from(k) / f64::from(TOP));
+        // Energy(c) / E[T](c) = e with both affine in c.
+        let (e0, t0) = (closed.energy, closed.eval.expected_cycle);
+        let (e1, t1) = (full.energy, full.eval.expected_cycle);
+        let root = (e * t0 - e0) / ((e1 - e0) - e * (t1 - t0));
+        let start = if root.is_finite() {
+            (root * f64::from(TOP))
+                .floor()
+                .clamp(0.0, f64::from(TOP - 1)) as u32
+        } else {
+            TOP / 2
+        };
+        // Invariant: `lo` fits (k = 0 is the closed walk), `hi` does not
+        // (k = TOP is the full walk).
+        let mut lo = (0, closed);
+        let mut hi = TOP;
+        let mut stride = 1;
+        if start > 0 {
+            let walk = at(start);
+            if fits(&walk) {
+                lo = (start, walk);
+            } else {
+                hi = start;
+            }
+        }
+        if lo.0 == start {
+            // Gallop up until a walk overspends.
+            while hi - lo.0 > stride {
+                let k = lo.0 + stride;
+                let walk = at(k);
+                if fits(&walk) {
+                    lo = (k, walk);
+                    stride *= 2;
+                } else {
+                    hi = k;
+                    break;
+                }
+            }
+        } else {
+            // Gallop down until a walk fits.
+            while hi - lo.0 > stride {
+                let k = hi - stride;
+                let walk = at(k);
+                if fits(&walk) {
+                    lo = (k, walk);
+                    break;
+                }
+                hi = k;
+                stride *= 2;
+            }
+        }
+        while hi - lo.0 > 1 {
+            let k = lo.0 + (hi - lo.0) / 2;
+            let walk = at(k);
+            if fits(&walk) {
+                lo = (k, walk);
+            } else {
+                hi = k;
+            }
+        }
+        Some((f64::from(lo.0) / f64::from(TOP), lo.1))
+    }
+}
+
+/// A clustering candidate's region bounds `(n1, n2, n3)`.
+type Lattice = (usize, usize, usize);
+
+/// The reusable chains of one clustering search. Every restart copies a
+/// checkpoint into one of these with `clone_from`, so once their bucket
+/// vectors have grown, pricing a candidate allocates nothing.
+struct Walker<'a> {
+    /// A fresh walk at slot 1.
+    origin: ChainEval<'a>,
+    /// The all-cooling prefix through slot `cooled`.
+    cool: ChainEval<'a>,
+    cooled: usize,
+    /// Fully-open and closed hot prefixes through `n2`.
+    hot_full: ChainEval<'a>,
+    hot_closed: ChainEval<'a>,
+    /// The same through the second cooling region, up to `n3 − 1`.
+    cool2_full: ChainEval<'a>,
+    cool2_closed: ChainEval<'a>,
+    /// Scratch for recovery tails and balance walks.
+    tail: ChainEval<'a>,
+    probe: ChainEval<'a>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(
+        table: &'a HazardTable,
+        mean: f64,
+        consumption: &ConsumptionModel,
+        opts: EvalOptions,
+    ) -> Self {
+        let origin = ChainEval::new(AgeBeliefDp::new(table), mean, consumption, opts);
+        Self {
+            cool: origin.clone(),
+            cooled: 0,
+            hot_full: origin.clone(),
+            hot_closed: origin.clone(),
+            cool2_full: origin.clone(),
+            cool2_closed: origin.clone(),
+            tail: origin.clone(),
+            probe: origin.clone(),
+            origin,
+        }
+    }
+
+    /// Points `cool` at the all-cooling prefix through slot `n1 − 1`,
+    /// extending the current one when it is not already past that slot.
+    fn cool_to(&mut self, n1: usize) {
+        let through = n1 - 1;
+        if through < self.cooled {
+            self.cool.clone_from(&self.origin);
+        }
+        self.cool.advance_through(through, 0.0);
+        self.cooled = through;
     }
 }
 
@@ -808,6 +1121,7 @@ mod tests {
     use super::*;
     use evcap_dist::{Discretizer, SlotPmf, Weibull};
     use evcap_energy::ConsumptionModel;
+    use proptest::prelude::*;
 
     fn consumption() -> ConsumptionModel {
         ConsumptionModel::paper_defaults()
@@ -998,6 +1312,30 @@ mod tests {
     }
 
     #[test]
+    fn search_under_a_short_slot_cap_reports_a_fresh_walk() {
+        // A slot cap inside the pmf's support: the search's hazard table
+        // stops short of the tail, and must still reach every walk's end.
+        let pmf = Discretizer::new()
+            .discretize(&Weibull::new(40.0, 3.0).unwrap())
+            .unwrap();
+        let opts = EvalOptions {
+            survival_eps: 1e-10,
+            max_slots: 60,
+        };
+        assert!(pmf.horizon() > opts.max_slots);
+        let (policy, eval) = ClusteringOptimizer::new(EnergyBudget::per_slot(0.5))
+            .eval_options(opts)
+            .optimize(&pmf, &consumption())
+            .unwrap();
+        let fresh = policy.evaluate(&pmf, &consumption(), opts);
+        let moments = CycleMoments {
+            first: 0.0,
+            second: 0.0,
+        };
+        assert_eq!(bits(&eval, &moments), bits(&fresh, &moments));
+    }
+
+    #[test]
     fn bogus_hint_falls_back_to_the_cold_result() {
         let pmf = Discretizer::new()
             .discretize(&Weibull::new(40.0, 3.0).unwrap())
@@ -1118,5 +1456,298 @@ mod tests {
         assert!(p.label().contains("clustering-PI"));
         let ctx = DecisionContext::stationary(3);
         assert_eq!(p.probability(&ctx), 1.0);
+    }
+
+    /// Every field of an evaluation and its moments, as bits.
+    fn bits(eval: &ClusterEvaluation, moments: &CycleMoments) -> [u64; 6] {
+        [
+            eval.capture_probability.to_bits(),
+            eval.discharge_rate.to_bits(),
+            eval.expected_cycle.to_bits(),
+            eval.truncated_survival.to_bits(),
+            moments.first.to_bits(),
+            moments.second.to_bits(),
+        ]
+    }
+
+    fn policy_bits(p: &ClusteringPolicy) -> (usize, usize, usize, u64, u64, u64) {
+        (
+            p.n1,
+            p.n2,
+            p.n3,
+            p.c_n1.to_bits(),
+            p.c_n2.to_bits(),
+            p.c_n3.to_bits(),
+        )
+    }
+
+    /// The pricing the walker replaced: every variant walked from scratch
+    /// and `c_{n1}` balanced by a 24-step bisection. The reference
+    /// [`ClusteringOptimizer::balanced`] must match bit for bit.
+    fn balanced_reference(
+        opt: &ClusteringOptimizer,
+        pmf: &SlotPmf,
+        consumption: &ConsumptionModel,
+        (n1, n2, n3): Lattice,
+    ) -> Option<(ClusteringPolicy, ClusterEvaluation, CycleMoments)> {
+        let full = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0).ok()?;
+        let e = opt.budget.rate();
+        let (eval_full, moments_full) = full.evaluate_moments(pmf, consumption, opt.eval);
+        if eval_full.discharge_rate <= e {
+            return Some((full, eval_full, moments_full));
+        }
+        let closed = full.with_c_n1(0.0);
+        let (eval_closed, moments_closed) = closed.evaluate_moments(pmf, consumption, opt.eval);
+        if eval_closed.discharge_rate > e {
+            return None;
+        }
+        let (mut lo_c, mut hi_c) = (0.0f64, 1.0f64);
+        let mut chosen = (closed, eval_closed, moments_closed);
+        for _ in 0..24 {
+            let mid = 0.5 * (lo_c + hi_c);
+            let p = full.with_c_n1(mid);
+            let (ev, mo) = p.evaluate_moments(pmf, consumption, opt.eval);
+            if ev.discharge_rate <= e {
+                chosen = (p, ev, mo);
+                lo_c = mid;
+            } else {
+                hi_c = mid;
+            }
+        }
+        Some(chosen)
+    }
+
+    /// The lattice sweep the walker replaced: the triple loop pricing every
+    /// candidate from scratch, screened like the warm search when asked.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_reference(
+        opt: &ClusteringOptimizer,
+        pmf: &SlotPmf,
+        consumption: &ConsumptionModel,
+        lo: usize,
+        hi: usize,
+        step: usize,
+        screen: Option<f64>,
+    ) -> (Option<Ranked>, u64) {
+        let mut best: Option<Ranked> = None;
+        let mut candidates = 0;
+        let mut n1 = lo.max(1);
+        while n1 <= hi {
+            let open = ClusteringPolicy::new(n1, hi, hi, 1.0, 1.0, 1.0).unwrap();
+            let subtree_ub = open
+                .evaluate(pmf, consumption, opt.eval)
+                .capture_probability;
+            if screen.is_none_or(|t| subtree_ub > t) {
+                for n2 in (n1..=hi).step_by(step) {
+                    for n3 in (n2..=hi).step_by(step) {
+                        let full = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0).unwrap();
+                        let ub = full
+                            .evaluate(pmf, consumption, opt.eval)
+                            .capture_probability;
+                        if !screen.is_none_or(|t| ub > t) {
+                            continue;
+                        }
+                        candidates += 1;
+                        let priced = balanced_reference(opt, pmf, consumption, (n1, n2, n3));
+                        if let Some((policy, eval, moments)) = priced {
+                            let score = opt.objective.score(&eval, &moments);
+                            if best.as_ref().is_none_or(|b| score > b.score + 1e-12) {
+                                best = Some(Ranked {
+                                    policy,
+                                    eval,
+                                    score,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            n1 += step;
+        }
+        (best, candidates)
+    }
+
+    /// Event processes for the reference properties: hazard-specified
+    /// with a tail hazard bounded away from zero (walks end well inside
+    /// the slot cap), and bounded-support pmfs whose chains can resolve
+    /// fully.
+    fn any_pmf() -> impl Strategy<Value = SlotPmf> {
+        prop_oneof![
+            (
+                collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 0..30),
+                0.05f64..1.0,
+            )
+                .prop_map(|(mut h, tail)| {
+                    h.push(tail);
+                    SlotPmf::from_hazards(&h).unwrap()
+                }),
+            collection::vec(prop_oneof![Just(0.0), 0.0f64..1.0], 1..30).prop_map(|m| {
+                let sum: f64 = m.iter().sum();
+                let masses = if sum > 0.0 {
+                    m.iter().map(|x| x / sum).collect()
+                } else {
+                    vec![1.0]
+                };
+                SlotPmf::from_pmf(masses).unwrap()
+            }),
+        ]
+    }
+
+    fn any_objective() -> impl Strategy<Value = Objective> {
+        prop_oneof![
+            Just(Objective::Qom),
+            Just(Objective::AoiMean),
+            Just(Objective::AoiPeak)
+        ]
+    }
+
+    /// A search-scoped walker over `table`, with a bucket vector already
+    /// grown by an unrelated walk so `clone_from` overwrites stale state.
+    fn dirty_walker<'a>(
+        table: &'a HazardTable,
+        pmf: &SlotPmf,
+        consumption: &ConsumptionModel,
+        opts: EvalOptions,
+    ) -> Walker<'a> {
+        let mut w = Walker::new(table, pmf.mean(), consumption, opts);
+        for chain in [
+            &mut w.tail,
+            &mut w.probe,
+            &mut w.hot_full,
+            &mut w.cool2_closed,
+        ] {
+            chain.advance_through(7, 0.0);
+            chain.advance_through(12, 0.5);
+        }
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn chain_eval_resumes_bit_identically_from_any_checkpoint(
+            pmf in any_pmf(),
+            head in collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0], 0..80),
+            tail_c in prop_oneof![Just(1.0), Just(0.0), 0.01f64..1.0],
+            checkpoint in 0usize..100,
+            survival_eps in prop_oneof![Just(1e-10), 1e-6f64..1e-2],
+            max_slots in 1usize..400,
+        ) {
+            let opts = EvalOptions { survival_eps, max_slots };
+            let consumption = consumption();
+            let policy = |i: usize| head.get(i - 1).copied().unwrap_or(tail_c);
+            let (want_eval, want_moments) =
+                evaluate_partial_info_moments(&pmf, policy, &consumption, opts);
+            let want = bits(&want_eval, &want_moments);
+
+            let table = HazardTable::new(&pmf, opts.max_slots);
+            let w = dirty_walker(&table, &pmf, &consumption, opts);
+            let mut prefix = w.origin.clone();
+            while prefix.live() && prefix.belief().next_slot() <= checkpoint {
+                let c = policy(prefix.belief().next_slot());
+                prefix.advance(c);
+            }
+            let mut resumed = w.tail.clone();
+            resumed.clone_from(&prefix);
+            resumed.run(policy);
+            let got = resumed.finish();
+            prop_assert_eq!(bits(&got.eval, &got.moments), want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn balance_matches_the_bisection(
+            pmf in any_pmf(),
+            t in -0.2f64..1.2,
+            (n1, d2, d3) in (1usize..40, 0usize..30, 0usize..30),
+            objective in any_objective(),
+            survival_eps in prop_oneof![Just(1e-10), 1e-6f64..1e-2],
+            max_slots in 50usize..600,
+        ) {
+            let lattice = (n1, n1 + d2, n1 + d2 + d3);
+            let opts = EvalOptions { survival_eps, max_slots };
+            let consumption = consumption();
+            // Place the budget between the closed and fully-open discharge
+            // rates (mostly), where the balance has work to do.
+            let open = ClusteringPolicy::new(n1, lattice.1, lattice.2, 1.0, 1.0, 1.0).unwrap();
+            let d_open = open.evaluate(&pmf, &consumption, opts).discharge_rate;
+            let d_closed = open.with_c_n1(0.0).evaluate(&pmf, &consumption, opts).discharge_rate;
+            let e = (d_closed + t * (d_open - d_closed)).max(1e-3);
+            let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(e))
+                .eval_options(opts)
+                .objective(objective);
+            let want = balanced_reference(&opt, &pmf, &consumption, lattice);
+
+            let table = HazardTable::new(&pmf, opts.max_slots);
+            let mut w = dirty_walker(&table, &pmf, &consumption, opts);
+            w.cool_to(n1);
+            let Walker { cool, tail, probe, .. } = &mut w;
+            let full = probe.variant_from(cool, 1.0, lattice);
+            let got = opt.balanced(
+                full,
+                || tail.variant_from(cool, 0.0, lattice),
+                |c| probe.variant_from(cool, c, lattice),
+            );
+            match (got, want) {
+                (None, None) => {}
+                (Some((c_n1, walk)), Some((policy, eval, moments))) => {
+                    let mine = ClusteringPolicy::new(n1, lattice.1, lattice.2, 1.0, 1.0, 1.0)
+                        .unwrap()
+                        .with_c_n1(c_n1);
+                    prop_assert_eq!(policy_bits(&mine), policy_bits(&policy));
+                    prop_assert_eq!(bits(&walk.eval, &walk.moments), bits(&eval, &moments));
+                }
+                (got, want) => prop_assert!(
+                    false,
+                    "feasibility differs: {:?} vs {:?}",
+                    got.map(|g| g.0),
+                    want.map(|w| w.0)
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn shared_prefix_sweep_matches_walks_from_scratch(
+            pmf in any_pmf(),
+            e in 0.05f64..3.0,
+            (lo, span, step) in (1usize..12, 1usize..20, 1usize..5),
+            objective in any_objective(),
+            screen in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
+            max_slots in 50usize..300,
+        ) {
+            let hi = lo + span;
+            let opts = EvalOptions { survival_eps: 1e-10, max_slots };
+            let consumption = consumption();
+            let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(e))
+                .eval_options(opts)
+                .objective(objective);
+            let (want, want_candidates) =
+                sweep_reference(&opt, &pmf, &consumption, lo, hi, step, screen);
+
+            let table = HazardTable::new(&pmf, opts.max_slots);
+            let mut w = dirty_walker(&table, &pmf, &consumption, opts);
+            // A stale cooling prefix past `lo` must be rebuilt, not reused.
+            w.cool_to(lo + 3);
+            let mut best = None;
+            let mut candidates = 0;
+            opt.sweep(&mut w, lo, hi, step, screen, &mut best, &mut candidates);
+            prop_assert_eq!(candidates, want_candidates);
+            let key = |r: &Ranked| {
+                (
+                    policy_bits(&r.policy),
+                    bits(&r.eval, &CycleMoments { first: 0.0, second: 0.0 }),
+                    r.score.to_bits(),
+                )
+            };
+            prop_assert_eq!(best.as_ref().map(key), want.as_ref().map(key));
+        }
     }
 }

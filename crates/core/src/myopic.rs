@@ -20,9 +20,9 @@
 
 use evcap_dist::SlotPmf;
 use evcap_energy::ConsumptionModel;
-use evcap_renewal::AgeBeliefDp;
+use evcap_renewal::{AgeBeliefDp, HazardTable};
 
-use crate::clustering::{evaluate_partial_info, ClusterEvaluation, EvalOptions};
+use crate::clustering::{ChainEval, ClusterEvaluation, EvalOptions};
 use crate::greedy::EnergyBudget;
 use crate::policy::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable};
 use crate::{PolicyError, Result};
@@ -66,57 +66,57 @@ impl MyopicPolicy {
             });
         }
         let e = budget.rate();
-        let derive_at = |theta: f64| -> Vec<bool> {
-            let mut dp = AgeBeliefDp::new(pmf);
-            let mut active = Vec::with_capacity(window);
+        // The evaluation stops at the slot cap, the decisions at `window`.
+        let table = HazardTable::new(pmf, window.max(opts.max_slots));
+        let origin = ChainEval::new(AgeBeliefDp::new(&table), pmf.mean(), consumption, opts);
+        let mut chain = origin.clone();
+        let mut belief = AgeBeliefDp::new(&table);
+        // Decides states 1..=window at threshold θ and evaluates the result
+        // in one walk: the chain being evaluated is exactly the belief the
+        // decisions read β̂ from (the hazard does not depend on the slot's
+        // own decision, so it is read before stepping). Once the evaluation
+        // has converged, a copy of its belief carries on for the remaining
+        // decisions.
+        let mut derive_at = |theta: f64, active: &mut Vec<bool>| -> ClusterEvaluation {
+            chain.clone_from(&origin);
+            active.clear();
+            let mut detached = false;
             for _ in 0..window {
-                // Peek the hazard without committing: step with c chosen by
-                // the threshold on the hazard the step itself reports. The
-                // hazard does not depend on the *current* slot's decision,
-                // so compute it with a probe first.
-                let mut probe = dp.clone();
-                let hazard = probe.step(0.0).hazard;
-                let act = hazard >= theta;
-                dp.step(if act { 1.0 } else { 0.0 });
+                if !detached && !chain.live() {
+                    belief.clone_from(chain.belief());
+                    detached = true;
+                }
+                let stepping = if detached { &belief } else { chain.belief() };
+                let act = stepping.next_hazard() >= theta;
+                let c = if act { 1.0 } else { 0.0 };
+                if detached {
+                    belief.step(c);
+                } else {
+                    chain.advance(c);
+                }
                 active.push(act);
             }
-            active
-        };
-        let eval_of = |active: &[bool]| {
-            evaluate_partial_info(
-                pmf,
-                |i| {
-                    if i <= active.len() {
-                        if active[i - 1] {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        1.0
-                    }
-                },
-                consumption,
-                opts,
-            )
+            // Beyond the window the policy is aggressive recovery.
+            chain.recover();
+            chain.finish().eval
         };
 
         // θ = 1+ means "never activate in the window" (recovery only);
         // θ = 0 means aggressive. Bisect for the lowest feasible θ.
         let mut lo = 0.0f64; // most active
         let mut hi = 1.0 + 1e-9; // least active
+        let mut active = Vec::with_capacity(window);
         let mut chosen: Option<(f64, Vec<bool>, ClusterEvaluation)> = None;
         for _ in 0..32 {
             let mid = 0.5 * (lo + hi);
-            let active = derive_at(mid);
-            let eval = eval_of(&active);
+            let eval = derive_at(mid, &mut active);
             if eval.discharge_rate <= e + 1e-9 {
                 let better = chosen
                     .as_ref()
                     .map(|(_, _, b)| eval.capture_probability > b.capture_probability - 1e-12)
                     .unwrap_or(true);
                 if better {
-                    chosen = Some((mid, active, eval));
+                    chosen = Some((mid, active.clone(), eval));
                 }
                 hi = mid;
             } else {
@@ -126,8 +126,7 @@ impl MyopicPolicy {
         let (threshold, active, evaluation) = chosen.unwrap_or_else(|| {
             // Even the all-sleep window overshoots (recovery alone is too
             // expensive): fall back to the least active variant.
-            let active = derive_at(1.0 + 1e-9);
-            let eval = eval_of(&active);
+            let eval = derive_at(1.0 + 1e-9, &mut active);
             (1.0, active, eval)
         });
         Ok(Self {
@@ -350,6 +349,45 @@ mod tests {
             myopic.evaluation().capture_probability,
             clustering.capture_probability
         );
+    }
+
+    #[test]
+    fn recorded_evaluation_is_a_fresh_walk_of_the_derived_policy() {
+        // A window short of the pmf's horizon, and one past the slot cap:
+        // the derivation's hazard table must reach the end of both the
+        // evaluation and the decisions.
+        let pmf = Discretizer::new()
+            .discretize(&Weibull::new(40.0, 3.0).unwrap())
+            .unwrap();
+        let bits = |e: ClusterEvaluation| {
+            [
+                e.capture_probability.to_bits(),
+                e.discharge_rate.to_bits(),
+                e.expected_cycle.to_bits(),
+                e.truncated_survival.to_bits(),
+            ]
+        };
+        for (window, max_slots) in [(20, 20_000), (100, 40)] {
+            let opts = EvalOptions {
+                survival_eps: 1e-10,
+                max_slots,
+            };
+            let policy = MyopicPolicy::derive(
+                &pmf,
+                EnergyBudget::per_slot(0.5),
+                &consumption(),
+                window,
+                opts,
+            )
+            .unwrap();
+            let fresh = crate::clustering::evaluate_partial_info(
+                &pmf,
+                |i| if policy.active(i) { 1.0 } else { 0.0 },
+                &consumption(),
+                opts,
+            );
+            assert_eq!(bits(policy.evaluation()), bits(fresh), "window {window}");
+        }
     }
 
     #[test]

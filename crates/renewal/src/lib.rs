@@ -41,6 +41,6 @@ mod forward;
 mod renewal_fn;
 
 pub use age::{age_distribution, limiting_age, mean_spread, spread_distribution};
-pub use belief::{AgeBeliefDp, BeliefStep};
+pub use belief::{AgeBeliefDp, BeliefStep, HazardTable};
 pub use forward::{equilibrium_distribution, forward_recurrence};
 pub use renewal_fn::RenewalFunction;

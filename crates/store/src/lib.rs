@@ -438,6 +438,11 @@ impl Store {
     /// closest recharge rate `e` — to seed the clustering enumeration
     /// (see `evcap_spec::solve_with_hint`).
     ///
+    /// Equidistant neighbors (in `f64`, 0.1 and 0.16 are equally far from
+    /// 0.13) are broken by the smaller canonical key, so the hint — and
+    /// the candidate count of the solve it seeds — never depends on the
+    /// index's hash order.
+    ///
     /// Returns `None` for non-clustering scenarios, when no neighbor
     /// matches, or when the nearest record cannot be decoded.
     pub fn warm_hint(&mut self, scenario: &Scenario) -> Option<(usize, usize, usize)> {
@@ -473,9 +478,12 @@ impl Store {
             if !dist.is_finite() {
                 continue;
             }
-            match &nearest {
-                Some((_, best)) if *best <= dist => {}
-                _ => nearest = Some((key.clone(), dist)),
+            let nearer = match &nearest {
+                None => true,
+                Some((best_key, best)) => dist < *best || (dist == *best && key < best_key),
+            };
+            if nearer {
+                nearest = Some((key.clone(), dist));
             }
         }
         let (key, _) = nearest?;
@@ -759,6 +767,38 @@ mod tests {
         assert!(store.warm_hint(&alien).is_none());
         let greedy_target = Scenario::new("weibull:40,3", PolicySpec::Greedy, 0.5).unwrap();
         assert!(store.warm_hint(&greedy_target).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_hint_breaks_distance_ties_by_key_not_hash_order() {
+        let dir = tmpdir("warmhint_tie");
+        let below = solved(PolicySpec::Clustering, 0.1);
+        let above = solved(PolicySpec::Clustering, 0.16);
+        let hint_of = |p: &SolvedPolicy| match p.params {
+            PolicyParams::Clustering { n1, n2, n3, .. } => (n1, n2, n3),
+            _ => unreachable!(),
+        };
+        assert_ne!(hint_of(&below), hint_of(&above));
+        {
+            let mut store = Store::open(&dir).unwrap();
+            store.append(&above).unwrap();
+            store.append(&below).unwrap();
+        }
+        let target = Scenario::new("weibull:40,3", PolicySpec::Clustering, 0.13)
+            .unwrap()
+            .with_horizon(4_096);
+        assert_eq!((0.1f64 - 0.13).abs(), (0.16f64 - 0.13).abs());
+        let smaller = if below.scenario.canonical_key() < above.scenario.canonical_key() {
+            &below
+        } else {
+            &above
+        };
+        // Every open builds a fresh index with its own hash order.
+        for _ in 0..8 {
+            let mut store = Store::open(&dir).unwrap();
+            assert_eq!(store.warm_hint(&target), Some(hint_of(smaller)));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,7 +7,7 @@
 use evcap::core::{ActivationPolicy, ClusteringPolicy, DecisionContext};
 use evcap::dist::{Discretizer, SlotPmf, Weibull};
 use evcap::energy::{ConstantRecharge, Energy};
-use evcap::renewal::AgeBeliefDp;
+use evcap::renewal::{AgeBeliefDp, HazardTable};
 use evcap::sim::Simulation;
 
 /// Measures empirical β̂_i from a traced simulation: among the times the
@@ -63,7 +63,8 @@ fn analytic_hazards_match_simulation() {
     // A policy with real cooling regions so censoring actually happens.
     let policy = ClusteringPolicy::new(6, 12, 18, 1.0, 1.0, 1.0).unwrap();
     let max_state = 24;
-    let mut dp = AgeBeliefDp::new(&pmf);
+    let hazards = HazardTable::new(&pmf, max_state);
+    let mut dp = AgeBeliefDp::new(&hazards);
     let analytic: Vec<f64> = (1..=max_state)
         .map(|i| {
             dp.step(policy.probability(&DecisionContext::stationary(i)))
@@ -92,7 +93,8 @@ fn missed_mass_concentrates_in_cooling_regions() {
         .discretize(&Weibull::new(12.0, 3.0).unwrap())
         .unwrap();
     let always = ClusteringPolicy::new(1, 1, 1, 1.0, 1.0, 1.0).unwrap();
-    let mut dp = AgeBeliefDp::new(&pmf);
+    let hazards = HazardTable::new(&pmf, 40);
+    let mut dp = AgeBeliefDp::new(&hazards);
     for i in 1..=40 {
         let step = dp.step(always.probability(&DecisionContext::stationary(i)));
         assert!((step.hazard - pmf.hazard(i)).abs() < 1e-12, "state {i}");
