@@ -1,8 +1,8 @@
 //! Slots/sec throughput recording for the figure runners.
 //!
 //! The simulation engine already instruments itself through `evcap-obs`
-//! (the `sim.run` span per scalar run, the `sim.batch.run` span per SoA
-//! chunk, and the shared `sim.slots` counter), so the bench harness does
+//! (the `sim.run` span per single run, the `sim.batch.run` span per batch
+//! replication, and the shared `sim.slots` counter), so the bench harness does
 //! not time anything by hand: it enables the global timing registry around
 //! a runner, drains the registry afterwards, and derives throughput from
 //! what the engine reported. Because spans aggregate across threads, the
@@ -30,8 +30,8 @@ pub struct Throughput {
     pub cpu_seconds: f64,
     /// Wall-clock seconds of the whole runner, including optimization.
     pub wall_seconds: f64,
-    /// Number of engine entries: scalar `sim.run` calls plus SoA
-    /// `sim.batch.run` chunks.
+    /// Number of engine entries: `sim.run` single runs plus
+    /// `sim.batch.run` batch replications.
     pub runs: u64,
 }
 
@@ -85,9 +85,9 @@ pub fn measured<R>(f: impl FnOnce() -> R) -> (R, Option<Throughput>) {
     let wall_seconds = wall.elapsed().as_secs_f64();
     let spans = timing::drain_spans();
     let counters = timing::drain_counters();
-    // The scalar engine reports `sim.run` per run; the SoA batch engine
-    // reports `sim.batch.run` per chunk. Both feed the shared `sim.slots`
-    // counter, so mixed workloads sum cleanly.
+    // Single runs report `sim.run`; batch replications report
+    // `sim.batch.run`. Both feed the shared `sim.slots` counter, so mixed
+    // workloads sum cleanly.
     let (mut total_ns, mut runs) = (0u128, 0u64);
     for (name, stats) in &spans {
         if *name == "sim.run" || *name == "sim.batch.run" {
@@ -300,7 +300,11 @@ mod tests {
         });
         let t = t.expect("the batch engine reported spans");
         assert_eq!(t.slots, 5 * 4_000, "counter covers every replication");
-        assert!(t.runs >= 1 && t.runs <= 5, "one span per chunk: {}", t.runs);
+        assert!(
+            t.runs >= 1 && t.runs <= 5,
+            "one span per replication: {}",
+            t.runs
+        );
         assert!(t.cpu_seconds > 0.0);
         assert!(t.slots_per_second() > 0.0);
     }

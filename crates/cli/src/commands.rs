@@ -631,13 +631,13 @@ fn simulate_replicated(
 /// `evcap bench-sim`
 ///
 /// Seeds the engine's performance trajectory: measures a single run, a
-/// truly sequential replication loop (R scalar `Simulation::run` calls with
-/// the batch's strided seeds — each rebuilding its event sampler and policy
+/// truly sequential replication loop (R `Simulation::run` calls with the
+/// batch's strided seeds — each rebuilding its event sampler and policy
 /// table, exactly what callers did before the batch engine), and the
-/// lockstep SoA batch at each requested thread count. Every batched run is
-/// checked bit-identical per seed against the scalar loop and across thread
-/// counts; an extra phase-timing pass attributes the batch's slot loop to
-/// its sweeps. Results land in a small JSON document (`BENCH_sim.json` by
+/// replication batch at each requested thread count. Every batched run is
+/// checked bit-identical per seed against the sequential loop and across
+/// thread counts; an extra phase-timing pass times the batch's schedule
+/// generation. Results land in a small JSON document (`BENCH_sim.json` by
 /// default) that CI archives and gates on.
 pub fn bench_sim(args: &Args) -> CmdResult {
     args.expect_only(&[
@@ -715,8 +715,8 @@ pub fn bench_sim(args: &Args) -> CmdResult {
     let scalar_reports = seq_res?;
     let seq_t = perf("sequential", seq_t)?;
 
-    // 3. The SoA batch at each requested thread count, checked bit-identical
-    //    per seed against the scalar loop and across thread counts.
+    // 3. The batch at each requested thread count, checked bit-identical
+    //    per seed against the sequential loop and across thread counts.
     let mut deterministic = true;
     let mut batched = Vec::new();
     let mut reference = None;
@@ -737,8 +737,8 @@ pub fn bench_sim(args: &Args) -> CmdResult {
         batched.push((threads, perf("batched", t)?));
     }
 
-    // 4. One phase-attribution pass (single worker, timing inside the slot
-    //    loop): where does the batch's time actually go?
+    // 4. One phase-timing pass (single worker): how much of the batch is
+    //    schedule generation?
     evcap_obs::timing::set_enabled(true);
     evcap_obs::timing::reset();
     let phased_res = ReplicationBatch::new(sim.clone(), replications)
@@ -757,16 +757,11 @@ pub fn bench_sim(args: &Args) -> CmdResult {
             .find(|(n, _)| *n == name)
             .map_or(0.0, |(_, s)| s.total_ns as f64 / 1e6)
     };
-    let (gen_ms, recharge_ms, decide_ms, events_ms) = (
-        phase_ms("sim.batch.phase.generate"),
-        phase_ms("sim.batch.phase.recharge"),
-        phase_ms("sim.batch.phase.decide"),
-        phase_ms("sim.batch.phase.events"),
-    );
+    let gen_ms = phase_ms("sim.batch.phase.generate");
 
-    // The regression gate: at one worker, lockstep batching must not be
-    // slower than the scalar loop it replaced (the batch amortizes sampler
-    // and table setup and sweeps contiguous lanes).
+    // The regression gate: at one worker, the batch must not be slower than
+    // the sequential loop (both run the same kernel; the batch shares the
+    // event sampler and the policy table across replications).
     let batched_t1_beats_sequential = batched
         .iter()
         .find(|(threads, _)| *threads == 1)
@@ -781,11 +776,8 @@ pub fn bench_sim(args: &Args) -> CmdResult {
     );
     let _ = writeln!(
         doc,
-        "  \"phases\": {{\"generate_ms\": {}, \"recharge_ms\": {}, \"decide_ms\": {}, \"events_ms\": {}}},", // tidy:allow(json-fmt): pretty-printed multi-line bench report; keys static, values num()-sanitized
+        "  \"phases\": {{\"generate_ms\": {}}},", // tidy:allow(json-fmt): pretty-printed multi-line bench report; keys static, values num()-sanitized
         num(gen_ms),
-        num(recharge_ms),
-        num(decide_ms),
-        num(events_ms),
     );
     // Throughput here is slots per *wall* second: the batched runs sum
     // engine time across worker threads, so a CPU-time rate would not move
@@ -841,9 +833,7 @@ pub fn bench_sim(args: &Args) -> CmdResult {
             seq_t.wall_seconds / t.wall_seconds
         );
     }
-    println!(
-        "phases (×1)  : generate {gen_ms:.1} ms, recharge {recharge_ms:.1} ms, decide {decide_ms:.1} ms, events {events_ms:.1} ms"
-    );
+    println!("phases (×1)  : generate {gen_ms:.1} ms");
     println!(
         "deterministic: {}",
         if deterministic { "yes" } else { "NO — BUG" }

@@ -1,6 +1,7 @@
 //! `evcap serve` and `evcap loadgen` — the daemon and its load generator.
 
 use std::error::Error;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -57,9 +58,18 @@ pub fn serve(args: &Args) -> CmdResult {
     let threads = config.threads;
     let server = Server::start(config)?;
     // The smoke script and the e2e tests scrape this exact line for the
-    // bound port, so `--addr 127.0.0.1:0` works with ephemeral ports.
-    println!("listening on http://{}", server.local_addr());
-    println!("threads: {threads}  (stop with SIGINT/SIGTERM)");
+    // bound port, so `--addr 127.0.0.1:0` works with ephemeral ports. The
+    // banner goes out in one write whose failure is ignored: a reader that
+    // takes the first line and closes the pipe must not take the server
+    // down with it.
+    let banner = format!(
+        "listening on http://{}\nthreads: {threads}  (stop with SIGINT/SIGTERM)\n",
+        server.local_addr()
+    );
+    let mut stdout = std::io::stdout().lock();
+    let _ = stdout.write_all(banner.as_bytes());
+    let _ = stdout.flush();
+    drop(stdout);
     while !signal::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(25));
     }

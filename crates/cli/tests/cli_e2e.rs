@@ -440,6 +440,56 @@ fn serve_boots_answers_and_drains_on_sigterm() {
 }
 
 #[test]
+fn serve_survives_a_closed_stdout() {
+    use std::net::{SocketAddr, TcpListener};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    // A pre-picked port, because the banner that would announce an
+    // ephemeral one goes nowhere.
+    let addr: SocketAddr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port");
+    // Stdout is a pipe whose read end is already closed, so every write to
+    // it fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut child = evcap()
+        .args(["serve", "--addr", &addr.to_string(), "--threads", "1"])
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("server starts");
+
+    let timeout = Duration::from_secs(2);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let health = loop {
+        match evcap_serve::client::get(addr, "/healthz", timeout) {
+            Ok(response) => break response,
+            Err(err) => {
+                let exited = child.try_wait().expect("child status");
+                assert!(exited.is_none(), "server exited ({exited:?}): {err}");
+                assert!(Instant::now() < deadline, "server never answered: {err}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    assert_eq!(health.status, 200);
+    // The banner is written right after the socket is bound, so a first
+    // answer can precede it: the server must still be up a moment later.
+    std::thread::sleep(Duration::from_millis(200));
+    let exited = child.try_wait().expect("child status");
+    let again = evcap_serve::client::get(addr, "/healthz", timeout);
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(
+        exited.is_none(),
+        "server exited after answering: {exited:?}"
+    );
+    assert_eq!(again.expect("GET /healthz again").status, 200);
+}
+
+#[test]
 fn loadgen_reports_throughput_against_a_live_server() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;

@@ -107,8 +107,8 @@ impl PolicyTable {
 
     /// Slice-in/slice-out batch lookup: `out[i] = probability(states[i])`.
     ///
-    /// One bounds check against the explicit region per lane and no call
-    /// overhead — the batched simulation engine's per-slot activation sweep.
+    /// One bounds check against the explicit region per state and no call
+    /// overhead, for callers that look up many states at once.
     /// Bit-identical to looping [`PolicyTable::probability`] by definition.
     ///
     /// # Panics

@@ -33,8 +33,9 @@ pub trait RechargeProcess {
 
     /// The process's closed-form description, if it has one.
     ///
-    /// Batch executors use this to replace the per-slot virtual `next` call
-    /// with an inlined sweep. A kind is a *contract*: the values it carries
+    /// The simulation kernel classifies every process once per run through
+    /// this and replaces the per-slot virtual `next` call with inline
+    /// arithmetic. A kind is a *contract*: the values it carries
     /// (including any phase state, captured at call time) must let a caller
     /// reproduce the exact same delivery sequence and the exact same RNG
     /// draws `next` would make. Processes without such a description return
@@ -423,7 +424,7 @@ mod tests {
         );
 
         // The periodic kind carries the live phase: a stepped process
-        // reports where it is, so a batch executor can resume mid-period.
+        // reports where it is, so the simulation kernel can resume mid-period.
         let mut p = PeriodicRecharge::new(Energy::from_units(5.0), 10).unwrap();
         let mut rng = SmallRng::seed_from_u64(9);
         let _ = p.next(&mut rng);

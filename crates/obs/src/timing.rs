@@ -128,9 +128,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// `start`/`stop` are a branch on a local bool and `record` is a no-op,
 /// so permanently instrumented loops cost almost nothing disabled.
 ///
-/// The batched simulation engine uses one stopwatch per phase (recharge
-/// sweep, decision sweep, event/capture sweep) to attribute a run's time
-/// without perturbing what it measures.
+/// The replication batch uses one to time each replication's schedule
+/// generation when phase timing is on.
 #[derive(Debug)]
 pub struct Stopwatch {
     armed: bool,

@@ -151,11 +151,12 @@ pub fn simulate(s: &SimulateScenario, solved: &SolvedPolicy) -> Result<String, A
     } else {
         builder.independent()
     };
-    // Batched requests run the lockstep SoA replication engine (all seeds
-    // advance together per slot) and answer with the cross-seed reduction;
-    // per-seed results are bit-identical to scalar runs, so `replications: 1`
-    // (or absent) staying on the classic single-run path below is a latency
-    // choice, not a semantic one — bodies stay byte-identical either way.
+    // Batched requests run every seed through the slot kernel on a shared
+    // event sampler and policy table and answer with the cross-seed
+    // reduction; per-seed results are bit-identical to single runs, so
+    // `replications: 1` (or absent) staying on the single-run path below is
+    // a latency choice, not a semantic one — bodies stay byte-identical
+    // either way.
     if s.replications > 1 {
         let batch = ReplicationBatch::new(builder, s.replications)
             .map_err(|e| ApiError::unprocessable(e.to_string()))?

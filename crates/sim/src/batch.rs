@@ -8,25 +8,24 @@
 //!   [`PolicyTable`] **once per batch** (stationary policies), and the
 //!   scenario's event sampler (alias tables over the inter-arrival pmf) is
 //!   built **once per batch** and shared read-only across replications;
-//! * replications advance **in lockstep over slots** inside each worker:
-//!   a contiguous chunk of seeds runs through the structure-of-arrays
-//!   engine ([`crate::soa`]), whose per-slot work is flat sweeps over
-//!   per-replication lanes (battery levels, capture ages, event cursors,
-//!   RNG states) rather than one full scalar pass per seed;
-//! * chunks run in parallel over [`crate::parallel::parallel_map_with`]
-//!   worker threads, and results reduce into a [`BatchReport`] in **seed
-//!   order**, so the output is bit-identical no matter how many threads ran
-//!   the batch — and each per-seed [`SimReport`] is bit-identical to a
-//!   standalone [`Simulation::run`] with that seed.
+//! * replications fan out over [`crate::parallel::parallel_map_with`]
+//!   worker threads; each replication samples its event schedule just
+//!   before it runs and drops it afterwards, and runs the same slot kernel
+//!   as [`Simulation::run`];
+//! * results reduce into a [`BatchReport`] in **seed order**, so the output
+//!   is bit-identical no matter how many threads ran the batch — and each
+//!   per-seed [`SimReport`] is bit-identical to a standalone
+//!   [`Simulation::run`] with that seed.
 //!
 //! Seed `i` is `base + i·0x9E37_79B9_7F4A_7C15` (the 64-bit golden-ratio
 //! stride, odd, hence a permutation of the seed space). Seed 0 *is* the
 //! base seed, so a one-replication batch reproduces today's single runs
 //! exactly.
 //!
-//! Timing spans fire once per chunk (`sim.batch.run`), not once per
-//! replication; [`ReplicationBatch::phase_timing`] additionally attributes
-//! the slot loop to per-phase samples.
+//! Timing: `sim.batch` spans the whole batch and `sim.batch.run` each
+//! replication's kernel run, so the `sim.batch.run` total is the workers'
+//! summed engine time; [`ReplicationBatch::phase_timing`] additionally
+//! times schedule generation.
 //!
 //! # Example
 //!
@@ -54,12 +53,12 @@ use evcap_core::{ActivationPolicy, InfoModel, PolicyTable};
 use evcap_dist::SlotSampler;
 use evcap_energy::RechargeProcess;
 use evcap_obs::timing::{self, Stopwatch};
+use evcap_obs::NullObserver;
 
-use crate::engine::{DynProb, ProbSource, Simulation, TableProb};
+use crate::engine::{DynProb, Simulation, TableProb};
 use crate::events::EventSchedule;
 use crate::metrics::SimReport;
-use crate::parallel::{parallel_map_with, resolved_threads};
-use crate::soa::{self, ChunkSchedules};
+use crate::parallel::parallel_map_with;
 use crate::stats::Summary;
 use crate::{Result, SimError};
 
@@ -127,11 +126,9 @@ impl<'a> ReplicationBatch<'a> {
         self
     }
 
-    /// Attributes each chunk's slot loop to per-phase timing samples
-    /// (`sim.batch.phase.generate` / `.recharge` / `.decide` / `.events`)
-    /// on top of the usual `sim.batch.run` span. The extra clock reads sit
-    /// inside the hot loop, so leave this off when measuring throughput;
-    /// results are bit-identical either way.
+    /// Times each replication's schedule generation as a
+    /// `sim.batch.phase.generate` sample, on top of the usual `sim.batch`
+    /// and `sim.batch.run` spans. Results are bit-identical either way.
     #[must_use]
     pub fn phase_timing(mut self, enabled: bool) -> Self {
         self.phased = enabled;
@@ -151,31 +148,14 @@ impl<'a> ReplicationBatch<'a> {
             .collect()
     }
 
-    /// Contiguous `(start, len)` chunks of the replication range, one per
-    /// effective worker. Chunk boundaries carry no simulation state — every
-    /// replication's result depends only on its own seed — so the partition
-    /// affects scheduling, never output.
-    fn chunks(&self) -> Vec<(usize, usize)> {
-        let workers = resolved_threads(self.threads).min(self.replications);
-        let base = self.replications / workers;
-        let extra = self.replications % workers;
-        let mut chunks = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            chunks.push((start, len));
-            start += len;
-        }
-        chunks
-    }
-
     /// Runs every replication (each with its own sampled event schedule)
     /// and reduces into a [`BatchReport`].
     ///
     /// # Errors
     ///
-    /// The first failing chunk's [`SimError`], in seed order (configuration
-    /// errors are seed-independent, so every chunk fails identically).
+    /// The first failing replication's [`SimError`], in seed order
+    /// (configuration errors are seed-independent, so every replication
+    /// fails identically).
     pub fn run(
         &self,
         policy: &(dyn ActivationPolicy + Sync),
@@ -187,35 +167,21 @@ impl<'a> ReplicationBatch<'a> {
         let sampler = SlotSampler::new(self.sim.pmf)?;
         let mean_gap = self.sim.pmf.mean();
         let compiled = self.compile(policy);
-        let seeds = self.seeds();
         let _span = timing::span("sim.batch");
-        let results = parallel_map_with(self.chunks(), self.threads, |(start, len)| {
-            let chunk_seeds = &seeds[start..start + len];
+        let results = parallel_map_with(self.seeds(), self.threads, |seed| {
             let mut gen_watch = self.phased.then(Stopwatch::new);
             if let Some(w) = gen_watch.as_mut() {
                 // deepcheck:allow(panic-path): `w.start()` is Stopwatch::start; the edge to Server::start is a method-name alias
                 w.start();
             }
-            let mut schedules = Vec::with_capacity(len);
-            for &seed in chunk_seeds {
-                schedules.push(EventSchedule::generate_shared(
-                    &sampler,
-                    mean_gap,
-                    self.sim.slots,
-                    seed,
-                )?);
-            }
-            if let Some(w) = gen_watch.take() {
+            let schedule =
+                EventSchedule::generate_shared(&sampler, mean_gap, self.sim.slots, seed)?;
+            if let Some(w) = gen_watch {
                 w.record("sim.batch.phase.generate");
             }
-            self.run_chunk(
-                chunk_seeds,
-                &ChunkSchedules::PerReplication(&schedules),
-                &compiled,
-                make_recharge,
-            )
+            self.replicate(seed, &schedule, &compiled, make_recharge)
         });
-        self.reduce_chunks(results)
+        self.reduce(results)
     }
 
     /// Runs every replication on one **shared** pre-sampled event schedule
@@ -232,17 +198,11 @@ impl<'a> ReplicationBatch<'a> {
         make_recharge: &SyncRechargeFactory<'_>,
     ) -> Result<BatchReport> {
         let compiled = self.compile(policy);
-        let seeds = self.seeds();
         let _span = timing::span("sim.batch");
-        let results = parallel_map_with(self.chunks(), self.threads, |(start, len)| {
-            self.run_chunk(
-                &seeds[start..start + len],
-                &ChunkSchedules::Shared(schedule),
-                &compiled,
-                make_recharge,
-            )
+        let results = parallel_map_with(self.seeds(), self.threads, |seed| {
+            self.replicate(seed, schedule, &compiled, make_recharge)
         });
-        self.reduce_chunks(results)
+        self.reduce(results)
     }
 
     /// Uses the caller-supplied precompiled table when one was attached,
@@ -255,63 +215,44 @@ impl<'a> ReplicationBatch<'a> {
         compiled
     }
 
-    /// Dispatches one chunk of seeds into the lockstep SoA engine,
-    /// monomorphized over the probability source exactly as the scalar
-    /// engine is.
-    fn run_chunk(
+    /// Runs one replication through the slot kernel with the batch's
+    /// shared compiled policy.
+    fn replicate(
         &self,
-        seeds: &[u64],
-        schedules: &ChunkSchedules<'_>,
+        seed: u64,
+        schedule: &EventSchedule,
         compiled: &Compiled<'_>,
         make_recharge: &SyncRechargeFactory<'_>,
-    ) -> Result<Vec<SimReport>> {
+    ) -> Result<SimReport> {
+        let mut make = |s: usize| make_recharge(s);
+        let _span = timing::span("sim.batch.run");
         match &compiled.table {
-            Some(table) => self.dispatch(
-                seeds,
-                schedules,
+            Some(table) => self.sim.kernel(
+                seed,
+                schedule,
                 compiled.info,
                 &TableProb(table),
-                make_recharge,
+                &mut make,
+                &mut NullObserver,
             ),
-            None => self.dispatch(
-                seeds,
-                schedules,
+            None => self.sim.kernel(
+                seed,
+                schedule,
                 compiled.info,
                 &DynProb(compiled.policy),
-                make_recharge,
+                &mut make,
+                &mut NullObserver,
             ),
         }
     }
 
-    fn dispatch<P: ProbSource>(
-        &self,
-        seeds: &[u64],
-        schedules: &ChunkSchedules<'_>,
-        info: InfoModel,
-        prob: &P,
-        make_recharge: &SyncRechargeFactory<'_>,
-    ) -> Result<Vec<SimReport>> {
-        soa::run_chunk(
-            &self.sim,
-            seeds,
-            schedules,
-            info,
-            prob,
-            make_recharge,
-            self.phased,
-        )
-    }
-
-    /// Flattens chunk results (surfacing the first chunk's error, which for
-    /// the seed-independent configuration errors is the same error every
-    /// chunk hit) and folds the per-seed reports sequentially in seed
-    /// order: f64 accumulation order is fixed, so the report is
-    /// bit-identical for any worker-thread count.
-    fn reduce_chunks(&self, results: Vec<Result<Vec<SimReport>>>) -> Result<BatchReport> {
-        let mut reports = Vec::with_capacity(self.replications);
-        for result in results {
-            reports.extend(result?);
-        }
+    /// Surfaces the first error in seed order (for the seed-independent
+    /// configuration errors, the error every replication hit) and folds
+    /// the per-seed reports sequentially in seed order: f64 accumulation
+    /// order is fixed, so the report is bit-identical for any worker-thread
+    /// count.
+    fn reduce(&self, results: Vec<Result<SimReport>>) -> Result<BatchReport> {
+        let reports = results.into_iter().collect::<Result<Vec<_>>>()?;
         let qom: Vec<f64> = reports.iter().map(SimReport::qom).collect();
         let discharge: Vec<f64> = reports.iter().map(SimReport::discharge_rate).collect();
         let mean_age_values: Vec<f64> = reports.iter().map(SimReport::mean_age).collect();
@@ -472,29 +413,6 @@ mod tests {
         let mut dedup = seeds.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), 3, "seeds must differ");
-    }
-
-    #[test]
-    fn chunks_cover_the_replication_range_exactly() {
-        let pmf = weibull_pmf();
-        for (reps, threads) in [(1, 1), (7, 2), (7, 3), (16, 8), (3, 100)] {
-            let batch = ReplicationBatch::new(Simulation::builder(&pmf), reps)
-                .unwrap()
-                .threads(threads);
-            let chunks = batch.chunks();
-            assert_eq!(chunks.len(), threads.min(reps));
-            let mut next = 0;
-            for &(start, len) in &chunks {
-                assert_eq!(start, next, "chunks are contiguous");
-                assert!(len > 0, "no empty chunks");
-                next += len;
-            }
-            assert_eq!(next, reps, "chunks cover every replication");
-            let (min, max) = chunks.iter().fold((usize::MAX, 0), |(lo, hi), &(_, len)| {
-                (lo.min(len), hi.max(len))
-            });
-            assert!(max - min <= 1, "chunks are balanced: {chunks:?}");
-        }
     }
 
     #[test]

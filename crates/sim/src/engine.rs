@@ -1,8 +1,18 @@
-//! The slotted simulation engine.
+//! The slotted simulation engine: one slot kernel behind every entry point.
+//!
+//! [`Simulation::run`] and its variants, and every replication of a
+//! [`crate::ReplicationBatch`], run the same kernel. Its state is built so
+//! the compiler can keep it in registers: each sensor is a [`Lane`] of
+//! plain integers (battery level and statistics in milli-units), a
+//! one-sensor run holds its lane in a fixed-size local rather than on the
+//! heap, each recharge process is classified once per run so the
+//! closed-form kinds run inline, and configuration branches (outages,
+//! round-robin ownership, the event cursor) are hoisted out of the slot
+//! loop.
 
 use evcap_core::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable, SlotAssignment};
 use evcap_dist::SlotPmf;
-use evcap_energy::{Battery, ConsumptionModel, Energy, RechargeProcess};
+use evcap_energy::{Battery, ConsumptionModel, Energy, RechargeKind, RechargeProcess};
 use evcap_obs::{timing, NullObserver, Observer, SlotOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,76 +31,44 @@ pub type RechargeFactory<'f> = dyn FnMut(usize) -> Box<dyn RechargeProcess> + 'f
 /// ([`TableProb`]): the hot loop pays one bounds check and an array load
 /// instead of a virtual call into the policy object. Policies that
 /// condition on more than the renewal state fall back to dynamic dispatch
-/// ([`DynProb`]). The engine is monomorphized over the source, so the table
+/// ([`DynProb`]). The kernel is monomorphized over the source, so the table
 /// path carries no dispatch residue.
 pub(crate) trait ProbSource {
-    /// Whether the source reads only the renewal state — ignoring the slot
-    /// and battery fraction. State-only sources let the batched engine fill
-    /// a whole lane of probabilities per slot ([`ProbSource::fill_state_probs`])
-    /// without assembling a [`DecisionContext`] per replication.
-    const STATE_ONLY: bool;
-
     fn probability(&self, ctx: &DecisionContext) -> f64;
-
-    /// Batched lookup: `out[i] = probability` for `states[i]`. Only called
-    /// when [`ProbSource::STATE_ONLY`] is `true`.
-    fn fill_state_probs(&self, states: &[usize], out: &mut [f64]);
 }
 
 pub(crate) struct TableProb<'p>(pub &'p PolicyTable);
 
 impl ProbSource for TableProb<'_> {
-    const STATE_ONLY: bool = true;
-
     #[inline]
     fn probability(&self, ctx: &DecisionContext) -> f64 {
         self.0.probability(ctx.state)
-    }
-
-    #[inline]
-    fn fill_state_probs(&self, states: &[usize], out: &mut [f64]) {
-        self.0.fill_probabilities(states, out);
     }
 }
 
 pub(crate) struct DynProb<'p>(pub &'p dyn ActivationPolicy);
 
 impl ProbSource for DynProb<'_> {
-    const STATE_ONLY: bool = false;
-
     #[inline]
     fn probability(&self, ctx: &DecisionContext) -> f64 {
         self.0.probability(ctx)
     }
-
-    fn fill_state_probs(&self, _states: &[usize], _out: &mut [f64]) {
-        unreachable!("a context-reading policy has no state-only batch lookup");
-    }
 }
 
-/// The activation coin, shared verbatim by the scalar and SoA engines: no
-/// RNG draw at the boundary probabilities, exactly one `f64` draw strictly
-/// inside `(0, 1)`. Both engines must consume the decision stream through
-/// this function — the conditional draw is what keeps their per-seed RNG
-/// streams aligned.
-#[inline]
-pub(crate) fn coin_wants(p: f64, rng: &mut SmallRng) -> bool {
+/// The activation coin: no RNG draw at the boundary probabilities, exactly
+/// one `f64` draw strictly inside `(0, 1)`.
+#[inline(always)]
+fn coin_wants(p: f64, rng: &mut SmallRng) -> bool {
     p > 0.0 && (p >= 1.0 || rng.random::<f64>() < p)
 }
 
-/// Forward event-cursor step shared by the scalar and SoA engines: advances
-/// `next_event` past stale entries and reports whether an event lands on
-/// `t`. Slots must be queried in non-decreasing order.
-#[inline]
-pub(crate) fn event_occurs(event_slots: &[u64], next_event: &mut usize, t: u64) -> bool {
-    while *next_event < event_slots.len() && event_slots[*next_event] < t {
-        *next_event += 1;
-    }
-    if *next_event < event_slots.len() && event_slots[*next_event] == t {
-        *next_event += 1;
-        true
+/// [`Battery::fill_fraction`] on a raw level.
+#[inline(always)]
+fn fill_fraction(level: i64, capacity: i64) -> f64 {
+    if capacity == 0 {
+        1.0
     } else {
-        false
+        level as f64 / capacity as f64
     }
 }
 
@@ -309,16 +287,39 @@ impl<'a> Simulation<'a> {
         // `table()` contract guarantees bit-identical probabilities, so both
         // paths produce byte-identical reports for the same seed.
         let info = policy.info_model();
-        match policy.table() {
-            Some(table) => {
-                self.run_core(schedule, info, &TableProb(&table), make_recharge, observer)
-            }
-            None => self.run_core(schedule, info, &DynProb(policy), make_recharge, observer),
+        let table = policy.table();
+        let _span = timing::span("sim.run");
+        match &table {
+            Some(table) => self.kernel(
+                self.seed,
+                schedule,
+                info,
+                &TableProb(table),
+                make_recharge,
+                observer,
+            ),
+            None => self.kernel(
+                self.seed,
+                schedule,
+                info,
+                &DynProb(policy),
+                make_recharge,
+                observer,
+            ),
         }
     }
 
-    pub(crate) fn run_core<P: ProbSource, O: Observer>(
+    /// Validates the configuration against `schedule`, builds the lanes,
+    /// and runs the slot loop for one seed — the single entry into the
+    /// kernel, shared by every `run*` method and every batch replication.
+    /// Validation errors come in a fixed order: zero slots, no sensors, a
+    /// short schedule, a warm-up covering the horizon, then the battery.
+    /// Never inlined, so single runs and batch replications execute the
+    /// same machine code.
+    #[inline(never)]
+    pub(crate) fn kernel<P: ProbSource, O: Observer>(
         &self,
+        seed: u64,
         schedule: &EventSchedule,
         info: InfoModel,
         prob: &P,
@@ -340,123 +341,336 @@ impl<'a> Simulation<'a> {
         if self.warmup_slots >= self.slots {
             return Err(SimError::ZeroSlots);
         }
+        let battery = match self.initial_level {
+            Some(level) => Battery::new(self.battery_capacity, level)?,
+            None => Battery::half_full(self.battery_capacity)?,
+        };
+        let lane = Lane {
+            level: battery.level().as_millis(),
+            ..Lane::default()
+        };
+        let run = Run {
+            sim: self,
+            seed,
+            events: schedule.event_slots(),
+            info,
+            prob,
+            initial: lane.level,
+        };
+        let report = if self.sensors == 1 {
+            run.slot_loop([lane], [Harvest::classify(make_recharge(0))], observer)
+        } else {
+            let harvests = (0..self.sensors)
+                .map(|s| Harvest::classify(make_recharge(s)))
+                .collect::<Vec<_>>();
+            run.slot_loop(vec![lane; self.sensors], harvests, observer)
+        };
+        timing::add_count("sim.slots", self.slots);
+        Ok(report)
+    }
+}
 
-        let threshold = self.consumption.activation_threshold();
-        let d1 = self.consumption.sensing_cost();
-        let d2 = self.consumption.capture_cost();
+/// One sensor's battery and statistics as plain integers (energy in
+/// milli-units), mirroring [`Battery`] and [`SensorStats`] exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    level: i64,
+    consumed: i64,
+    recharged: i64,
+    overflow: i64,
+    activations: u64,
+    captures: u64,
+    forced_idle: u64,
+    outage_slots: u64,
+    own_last_capture: u64,
+    /// Whether the sensor activated this slot (independent coordination).
+    active: bool,
+}
 
-        let mut batteries = Vec::with_capacity(self.sensors);
-        let mut recharges = Vec::with_capacity(self.sensors);
-        let mut stats = vec![SensorStats::default(); self.sensors];
-        for (s, stat) in stats.iter_mut().enumerate() {
-            let battery = match self.initial_level {
-                Some(level) => Battery::new(self.battery_capacity, level)?,
-                None => Battery::half_full(self.battery_capacity)?,
-            };
-            stat.initial_level = battery.level();
-            batteries.push(battery);
-            recharges.push(make_recharge(s));
+impl Lane {
+    /// [`Battery::recharge`] plus the recharge statistics, in [`Energy`]'s
+    /// saturating arithmetic. Returns the overflow.
+    #[inline(always)]
+    fn absorb(&mut self, amount: i64, capacity: i64) -> i64 {
+        let absorbed = amount.min(capacity.saturating_sub(self.level));
+        self.level = self.level.saturating_add(absorbed);
+        let overflow = amount.saturating_sub(absorbed);
+        self.recharged = self
+            .recharged
+            .saturating_add(amount.saturating_sub(overflow));
+        if overflow != 0 {
+            self.overflow = self.overflow.saturating_add(overflow);
         }
+        overflow
+    }
+
+    /// Pays the capture cost `δ2` ([`Battery::try_consume`]) and credits
+    /// the capture.
+    #[inline(always)]
+    fn capture(&mut self, t: u64, d2: i64, measured: bool) {
+        let paid = self.level >= d2;
+        debug_assert!(paid, "activation threshold guarantees δ1 + δ2");
+        if paid {
+            self.level -= d2;
+        }
+        self.consumed = self.consumed.saturating_add(d2);
+        self.captures += u64::from(measured);
+        self.own_last_capture = t;
+    }
+
+    fn stats(&self, initial: i64) -> SensorStats {
+        SensorStats {
+            activations: self.activations,
+            captures: self.captures,
+            forced_idle: self.forced_idle,
+            outage_slots: self.outage_slots,
+            consumed: Energy::from_millis(self.consumed),
+            recharged: Energy::from_millis(self.recharged),
+            overflow: Energy::from_millis(self.overflow),
+            initial_level: Energy::from_millis(initial),
+            final_level: Energy::from_millis(self.level),
+        }
+    }
+}
+
+/// Where a run keeps its lanes: a one-sensor run in a fixed-size local the
+/// compiler can promote to registers, a fleet in a vector. [`Lanes::at`]
+/// maps a sensor index to its lane; the single lane answers 0 without
+/// looking, so every access to it has a constant index.
+trait Lanes: AsRef<[Lane]> + AsMut<[Lane]> {
+    fn at(sensor: usize) -> usize;
+}
+
+impl Lanes for [Lane; 1] {
+    #[inline(always)]
+    fn at(_sensor: usize) -> usize {
+        0
+    }
+}
+
+impl Lanes for Vec<Lane> {
+    #[inline(always)]
+    fn at(sensor: usize) -> usize {
+        sensor
+    }
+}
+
+/// A sensor's recharge process, classified once per run from
+/// [`RechargeProcess::kind`]. The closed-form kinds deliver inline in the
+/// slot loop (the kind contract makes their deliveries and RNG draws those
+/// of `next`); only [`RechargeKind::Other`] keeps the boxed `next` call.
+enum Harvest {
+    Bernoulli {
+        q: f64,
+        c: i64,
+    },
+    Constant {
+        rate: i64,
+    },
+    Periodic {
+        amount: i64,
+        period: u32,
+        phase: u32,
+    },
+    Uniform {
+        lo: i64,
+        hi: i64,
+    },
+    Other(Box<dyn RechargeProcess>),
+}
+
+impl Harvest {
+    fn classify(process: Box<dyn RechargeProcess>) -> Self {
+        match process.kind() {
+            RechargeKind::Bernoulli { q, c } => Harvest::Bernoulli {
+                q,
+                c: c.as_millis(),
+            },
+            RechargeKind::Constant { rate } => Harvest::Constant {
+                rate: rate.as_millis(),
+            },
+            RechargeKind::Periodic {
+                amount,
+                period,
+                phase,
+            } => Harvest::Periodic {
+                amount: amount.as_millis(),
+                period,
+                phase,
+            },
+            RechargeKind::Uniform { lo, hi } => Harvest::Uniform {
+                lo: lo.as_millis(),
+                hi: hi.as_millis(),
+            },
+            RechargeKind::Other => Harvest::Other(process),
+        }
+    }
+
+    /// The next slot's delivery in milli-units.
+    #[inline(always)]
+    fn next(&mut self, rng: &mut SmallRng) -> i64 {
+        match self {
+            Harvest::Bernoulli { q, c } => {
+                // One f64 per slot, hit or miss. The hit selects the
+                // amount without a branch: at `q` near 1/2 a branch would
+                // mispredict every other slot.
+                let hit = rng.random::<f64>() < *q;
+                std::hint::select_unpredictable(hit, *c, 0)
+            }
+            Harvest::Constant { rate } => *rate,
+            Harvest::Periodic {
+                amount,
+                period,
+                phase,
+            } => {
+                *phase += 1;
+                if *phase == *period {
+                    *phase = 0;
+                    *amount
+                } else {
+                    0
+                }
+            }
+            Harvest::Uniform { lo, hi } => rng.random_range(*lo..=*hi),
+            Harvest::Other(process) => {
+                // The trait object draws from a copy of the stream, so the
+                // kernel's own generator never has its address taken and
+                // can stay in registers.
+                let mut stream = rng.clone();
+                let amount = process.next(&mut stream);
+                *rng = stream;
+                amount.as_millis()
+            }
+        }
+    }
+}
+
+/// One seed's run: the configuration and everything the slot loop reads.
+struct Run<'r, P> {
+    sim: &'r Simulation<'r>,
+    seed: u64,
+    events: &'r [u64],
+    info: InfoModel,
+    prob: &'r P,
+    initial: i64,
+}
+
+impl<P: ProbSource> Run<'_, P> {
+    /// The slot loop. Per slot, in the paper's order: every sensor
+    /// recharges (in sensor order, drawing from the one RNG stream), the
+    /// deciding sensor(s) act (the activation coin draws after the
+    /// recharges), then the pre-sampled event, if any, arrives. Observer
+    /// hooks fire in the order the [`Observer`] docs list.
+    #[inline(always)]
+    fn slot_loop<L: Lanes, H: AsMut<[Harvest]>, O: Observer>(
+        &self,
+        mut lanes: L,
+        mut harvests: H,
+        observer: &mut O,
+    ) -> SimReport {
+        let sim = self.sim;
+        let sensors = sim.sensors;
+        let capacity = sim.battery_capacity.as_millis();
+        let threshold = sim.consumption.activation_threshold().as_millis();
+        let d1 = sim.consumption.sensing_cost().as_millis();
+        let d2 = sim.consumption.capture_cost().as_millis();
+        let has_outages = !sim.outages.is_empty();
+        let wants_levels = observer.wants_battery_levels();
+        let mut levels = Vec::with_capacity(if wants_levels { sensors } else { 0 });
+        let mut trace = Vec::with_capacity(sim.trace_slots.min(4096));
+        let mut battery_trace = Vec::new();
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        // Hoisted next-event pointer: the schedule is pre-sampled and sorted
-        // and `t` only moves forward, so the per-slot event query is one
-        // comparison against `event_slots[next_event]` — no sampling, no
-        // cursor indirection, inside the loop.
-        let event_slots = schedule.event_slots();
-        let mut next_event = 0usize;
-        let mut trace = Vec::with_capacity(self.trace_slots.min(4096));
-        let mut battery_trace = Vec::new();
+        // The schedule is sorted and `t` only moves forward, so the event
+        // test is one comparison against the next event's slot.
+        let mut upcoming = self.events.iter().copied();
+        let mut next_event = upcoming.next().unwrap_or(u64::MAX);
+        // Round-robin ownership advances with a counter instead of a
+        // per-slot modulo.
+        let mut round_robin = 0usize;
 
         // The paper anchors the process with an event at slot 0; all
         // information states start there.
-        let mut last_event: u64 = 0; // full-information renewal point
-        let mut shared_last_capture: u64 = 0; // broadcast PI renewal point
-        let mut own_last_capture = vec![0u64; self.sensors]; // independent PI
-        let mut events: u64 = 0;
-        let mut captures: u64 = 0;
-        let mut measured_slots: u64 = 0;
-        let mut age_sum: u64 = 0;
-        let mut peak_age: u64 = 0;
-        // Reused per slot; indices of sensors that are active this slot.
-        let mut active_sensors: Vec<usize> = Vec::with_capacity(self.sensors);
-        // Battery snapshots are the one observer hook with a non-trivial
-        // argument to assemble, so it is gated on the observer asking.
-        let wants_levels = observer.wants_battery_levels();
-        let mut levels_buf: Vec<f64> =
-            Vec::with_capacity(if wants_levels { self.sensors } else { 0 });
-        let run_span = timing::span("sim.run");
+        let mut last_event = 0u64; // full-information renewal point
+        let mut shared_last_capture = 0u64; // broadcast PI renewal point
+        let mut events = 0u64;
+        let mut captures = 0u64;
+        let mut age_sum = 0u64;
+        let mut peak_age = 0u64;
 
-        for t in 1..=self.slots {
+        for t in 1..=sim.slots {
             // 1. Recharge every sensor (harvesting continues through
             //    outages, as a supercapacitor's would).
-            for s in 0..self.sensors {
-                let amount = recharges[s].next(&mut rng);
-                let overflow = batteries[s].recharge(amount);
-                stats[s].recharged += amount - overflow;
-                stats[s].overflow += overflow;
-                if overflow > Energy::ZERO {
-                    observer.on_recharge_overflow(t, s, overflow.as_units());
+            for (s, (lane, harvest)) in lanes
+                .as_mut()
+                .iter_mut()
+                .zip(harvests.as_mut().iter_mut())
+                .enumerate()
+            {
+                let overflow = lane.absorb(harvest.next(&mut rng), capacity);
+                if overflow > 0 {
+                    observer.on_recharge_overflow(t, s, Energy::from_millis(overflow).as_units());
                 }
             }
 
             // 2. The deciding sensor(s) act.
-            active_sensors.clear();
-            let mut trace_slot: Option<TraceRecord> = None;
-            let decide = |s: usize,
-                          batteries: &mut [Battery],
-                          stats: &mut [SensorStats],
-                          rng: &mut SmallRng,
-                          own_last_capture: &[u64],
-                          observer: &mut O|
-             -> (bool, bool, usize) {
-                let state = match info {
-                    InfoModel::Full => (t - last_event) as usize,
-                    InfoModel::Partial => match self.coordination {
-                        Coordination::Rotating(_) => (t - shared_last_capture) as usize,
-                        Coordination::Independent => (t - own_last_capture[s]) as usize,
-                    },
-                };
-                let ctx = DecisionContext {
-                    slot: t,
-                    state,
-                    battery_fraction: batteries[s].fill_fraction(),
-                };
-                let p = prob.probability(&ctx);
-                debug_assert!((0.0..=1.0).contains(&p), "policy returned {p}");
-                let wanted = coin_wants(p, rng);
-                let feasible = batteries[s].can_afford(threshold);
-                let active = wanted && feasible;
-                if wanted && !feasible {
-                    stats[s].forced_idle += 1;
-                    observer.on_forced_idle(t, s, ctx.battery_fraction);
-                }
-                if active {
-                    let ok = batteries[s].try_consume(d1);
-                    debug_assert!(ok, "activation threshold guarantees δ1");
-                    stats[s].consumed += d1;
-                    stats[s].activations += 1;
-                }
-                (wanted, active, state)
+            let measured = t > sim.warmup_slots;
+            let tracing = (t as usize) <= sim.trace_slots;
+            let mut outcome = SlotOutcome {
+                slot: t,
+                owner: 0,
+                state: 0,
+                wanted: false,
+                active: false,
+                event: false,
+                captured: false,
+                measured,
             };
-
-            // Slot-level aggregates reported to the observer: the owning
-            // sensor and the state it decided from, plus whether anyone
-            // wanted to / did activate.
-            let mut slot_owner = 0usize;
-            let mut slot_state = 0usize;
-            let mut slot_wanted = false;
-            let mut slot_active = false;
-
-            match self.coordination {
+            let mut record = None;
+            let decide =
+                |lane: &mut Lane, s: usize, state: usize, rng: &mut SmallRng, observer: &mut O| {
+                    let battery_fraction = fill_fraction(lane.level, capacity);
+                    let p = self.prob.probability(&DecisionContext {
+                        slot: t,
+                        state,
+                        battery_fraction,
+                    });
+                    debug_assert!((0.0..=1.0).contains(&p), "policy returned {p}");
+                    let wanted = coin_wants(p, rng);
+                    let feasible = lane.level >= threshold;
+                    if wanted && !feasible {
+                        lane.forced_idle += 1;
+                        observer.on_forced_idle(t, s, battery_fraction);
+                    }
+                    let active = wanted && feasible;
+                    if active {
+                        // The threshold `δ1 + δ2` covers `δ1`.
+                        lane.level -= d1;
+                        lane.consumed = lane.consumed.saturating_add(d1);
+                        lane.activations += 1;
+                    }
+                    (wanted, active)
+                };
+            match sim.coordination {
                 Coordination::Rotating(assignment) => {
-                    let owner = assignment.owner(t, self.sensors);
-                    slot_owner = owner;
-                    if self.outages.is_down(owner, t) {
-                        stats[owner].outage_slots += 1;
+                    let owner = match assignment {
+                        SlotAssignment::RoundRobin => {
+                            let owner = round_robin;
+                            round_robin += 1;
+                            if round_robin == sensors {
+                                round_robin = 0;
+                            }
+                            owner
+                        }
+                        other => other.owner(t, sensors),
+                    };
+                    outcome.owner = owner;
+                    let lane = &mut lanes.as_mut()[L::at(owner)];
+                    if has_outages && sim.outages.is_down(owner, t) {
+                        lane.outage_slots += 1;
                         observer.on_outage(t, owner);
-                        if (t as usize) <= self.trace_slots {
-                            trace_slot = Some(TraceRecord {
+                        if tracing {
+                            record = Some(TraceRecord {
                                 slot: t,
                                 owner,
                                 state: 0,
@@ -467,22 +681,17 @@ impl<'a> Simulation<'a> {
                             });
                         }
                     } else {
-                        let (wanted, active, state) = decide(
-                            owner,
-                            &mut batteries,
-                            &mut stats,
-                            &mut rng,
-                            &own_last_capture,
-                            observer,
-                        );
-                        slot_state = state;
-                        slot_wanted = wanted;
-                        slot_active = active;
-                        if active {
-                            active_sensors.push(owner);
-                        }
-                        if (t as usize) <= self.trace_slots {
-                            trace_slot = Some(TraceRecord {
+                        let since = match self.info {
+                            InfoModel::Full => last_event,
+                            InfoModel::Partial => shared_last_capture,
+                        };
+                        let state = (t - since) as usize;
+                        let (wanted, active) = decide(lane, owner, state, &mut rng, observer);
+                        outcome.state = state;
+                        outcome.wanted = wanted;
+                        outcome.active = active;
+                        if tracing {
+                            record = Some(TraceRecord {
                                 slot: t,
                                 owner,
                                 state,
@@ -495,32 +704,29 @@ impl<'a> Simulation<'a> {
                     }
                 }
                 Coordination::Independent => {
-                    for s in 0..self.sensors {
-                        if self.outages.is_down(s, t) {
-                            stats[s].outage_slots += 1;
+                    for (s, lane) in lanes.as_mut().iter_mut().enumerate() {
+                        lane.active = false;
+                        if has_outages && sim.outages.is_down(s, t) {
+                            lane.outage_slots += 1;
                             observer.on_outage(t, s);
                             continue;
                         }
-                        let (wanted, active, state) = decide(
-                            s,
-                            &mut batteries,
-                            &mut stats,
-                            &mut rng,
-                            &own_last_capture,
-                            observer,
-                        );
-                        slot_wanted |= wanted;
-                        if active && !slot_active {
+                        let since = match self.info {
+                            InfoModel::Full => last_event,
+                            InfoModel::Partial => lane.own_last_capture,
+                        };
+                        let state = (t - since) as usize;
+                        let (wanted, active) = decide(lane, s, state, &mut rng, observer);
+                        lane.active = active;
+                        outcome.wanted |= wanted;
+                        if active && !outcome.active {
                             // Report the lowest-indexed activating sensor.
-                            slot_owner = s;
-                            slot_state = state;
-                            slot_active = true;
+                            outcome.owner = s;
+                            outcome.state = state;
+                            outcome.active = true;
                         }
-                        if active {
-                            active_sensors.push(s);
-                        }
-                        if s == 0 && (t as usize) <= self.trace_slots {
-                            trace_slot = Some(TraceRecord {
+                        if s == 0 && tracing {
+                            record = Some(TraceRecord {
                                 slot: t,
                                 owner: 0,
                                 state,
@@ -534,98 +740,89 @@ impl<'a> Simulation<'a> {
                 }
             }
 
-            // 3. The event (if any) arrives after the decisions.
-            let event = event_occurs(event_slots, &mut next_event, t);
-            let measured = t > self.warmup_slots;
-            let mut captured_by_any = false;
+            // 3. The event (if any) arrives after the decisions; every
+            //    active sensor captures it.
+            let event = t == next_event;
             if event {
-                if measured {
-                    events += 1;
-                }
-                for &s in &active_sensors {
-                    let ok = batteries[s].try_consume(d2);
-                    debug_assert!(ok, "activation threshold guarantees δ1 + δ2");
-                    stats[s].consumed += d2;
-                    if measured {
-                        stats[s].captures += 1;
+                next_event = upcoming.next().unwrap_or(u64::MAX);
+                events += u64::from(measured);
+                if outcome.active {
+                    match sim.coordination {
+                        Coordination::Rotating(_) => {
+                            lanes.as_mut()[L::at(outcome.owner)].capture(t, d2, measured);
+                        }
+                        Coordination::Independent => {
+                            for lane in lanes.as_mut().iter_mut().filter(|lane| lane.active) {
+                                lane.capture(t, d2, measured);
+                            }
+                        }
                     }
-                    own_last_capture[s] = t;
-                    captured_by_any = true;
-                }
-                if captured_by_any && measured {
-                    captures += 1;
-                    // Gap since the previous fleet-wide capture (the paper's
-                    // renewal-cycle length), measured before the update.
-                    observer.on_capture(t, active_sensors[0], t - shared_last_capture);
-                } else if !captured_by_any && measured {
+                    if measured {
+                        captures += 1;
+                        // Gap since the previous fleet-wide capture (the
+                        // paper's renewal-cycle length), measured before
+                        // the update; the lowest-indexed capturer reports.
+                        observer.on_capture(t, outcome.owner, t - shared_last_capture);
+                    }
+                    shared_last_capture = t;
+                } else if measured {
                     observer.on_miss(t);
                 }
-                if captured_by_any {
-                    shared_last_capture = t;
-                }
                 last_event = t;
+                outcome.event = true;
+                outcome.captured = outcome.active;
             }
 
             // 4. Age of information once the slot resolves: slots since the
-            //    last fleet-wide capture (0 in a capture slot). Integer
-            //    accumulation keeps the SoA engine bit-identical.
+            //    last fleet-wide capture (0 in a capture slot).
             if measured {
                 let age = t - shared_last_capture;
                 age_sum += age;
-                if age > peak_age {
-                    peak_age = age;
-                }
-                measured_slots += 1;
+                peak_age = peak_age.max(age);
             }
 
-            if let Some(mut record) = trace_slot {
+            if let Some(mut record) = record {
                 record.event = event;
-                record.captured = event && record.active && captured_by_any;
+                record.captured = event && record.active && outcome.captured;
                 trace.push(record);
             }
-            if let Some(every) = self.battery_sample_every {
+            if let Some(every) = sim.battery_sample_every {
                 if t % every == 0 {
+                    let mut sample = Vec::with_capacity(sensors);
+                    for lane in lanes.as_ref() {
+                        sample.push(Energy::from_millis(lane.level));
+                    }
                     battery_trace.push(BatterySample {
                         slot: t,
-                        levels: batteries.iter().map(|b| b.level()).collect(),
+                        levels: sample,
                     });
                 }
             }
             if wants_levels {
-                levels_buf.clear();
-                levels_buf.extend(batteries.iter().map(Battery::fill_fraction));
-                observer.on_battery_levels(t, &levels_buf);
+                levels.clear();
+                for lane in lanes.as_ref() {
+                    levels.push(fill_fraction(lane.level, capacity));
+                }
+                observer.on_battery_levels(t, &levels);
             }
-            observer.on_slot(&SlotOutcome {
-                slot: t,
-                owner: slot_owner,
-                state: slot_state,
-                wanted: slot_wanted,
-                active: slot_active,
-                event,
-                captured: captured_by_any,
-                measured,
-            });
+            observer.on_slot(&outcome);
         }
 
-        drop(run_span);
-        timing::add_count("sim.slots", self.slots);
-
-        for (s, stat) in stats.iter_mut().enumerate() {
-            stat.final_level = batteries[s].level();
+        let mut stats = Vec::with_capacity(sensors);
+        for lane in lanes.as_ref() {
+            stats.push(lane.stats(self.initial));
         }
-
-        Ok(SimReport {
-            slots: self.slots,
+        SimReport {
+            slots: sim.slots,
             events,
             captures,
             sensors: stats,
-            measured_slots,
+            measured_slots: sim.slots - sim.warmup_slots,
             age_sum,
             peak_age,
             trace,
             battery_trace,
-        })
+        }
     }
 }
 

@@ -49,7 +49,6 @@ mod metrics;
 mod outage;
 pub mod parallel;
 mod sizing;
-mod soa;
 mod stats;
 
 pub use adaptive::{run_adaptive_greedy, AdaptiveConfig, AdaptiveReport, EpisodeOutcome};

@@ -81,8 +81,8 @@ pub struct SimReport {
     /// Slots counted toward the age statistics (the post-warmup horizon).
     pub measured_slots: u64,
     /// Sum over measured slots of the age of information — slots since the
-    /// last fleet-wide capture (0 in a capture slot). Integer, so the
-    /// scalar and SoA engines agree bit for bit.
+    /// last fleet-wide capture (0 in a capture slot). Integer, so it is
+    /// exact and reproducible bit for bit.
     pub age_sum: u64,
     /// Largest age observed in a measured slot.
     pub peak_age: u64,

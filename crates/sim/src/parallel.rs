@@ -27,8 +27,8 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker (the whole map panics, matching the
-/// behavior of a sequential loop).
+/// Propagates a panic from any worker with the worker's own payload (the
+/// whole map panics, matching the behavior of a sequential loop).
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -41,10 +41,8 @@ where
 /// Resolves an optional explicit thread count to the effective worker
 /// count: the explicit value when given, else the `EVCAP_THREADS`
 /// environment override, else the machine's available parallelism. Always
-/// at least 1. This is the single resolution rule shared by
-/// [`parallel_map_with`] and the batch engine's chunk partitioning, so
-/// "how many workers would run" and "how many chunks to cut" can never
-/// disagree.
+/// at least 1. This is the resolution rule [`parallel_map_with`] applies,
+/// exposed so callers can report how many workers a map would use.
 pub fn resolved_threads(threads: Option<usize>) -> usize {
     threads
         .unwrap_or_else(|| {
@@ -98,8 +96,9 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|| loop {
+            workers.push(scope.spawn(|| loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
@@ -114,7 +113,20 @@ where
                     let value = f(item);
                     *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
                 }
-            });
+            }));
+        }
+        // Joining by hand keeps each worker's own panic payload: left to
+        // the scope, any worker panic resurfaces as a generic "a scoped
+        // thread panicked" message instead of the one a sequential loop
+        // would have raised.
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
     results

@@ -1,8 +1,8 @@
-//! Proves the hot-loop satellite: the SoA batch engine's steady-state slot
-//! loop is allocation-free. All per-replication scratch (state/probability
-//! buffers, trace slots, recharge sweeps) is hoisted before slot 1, so the
-//! total allocation count of a batched run is independent of the slot count
-//! — a 4× longer run over the same event schedule allocates exactly as many
+//! Proves the slot kernel's steady-state loop is allocation-free when run
+//! through a batch. All per-replication scratch (lanes, recharge
+//! classification, trace buffers) is set up before slot 1, so the total
+//! allocation count of a batched run is independent of the slot count — a
+//! 4× longer run over the same event schedule allocates exactly as many
 //! times as the short one.
 //!
 //! This lives in its own test binary because it installs a counting global

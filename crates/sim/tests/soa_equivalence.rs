@@ -1,9 +1,14 @@
-//! Property-based equivalence between the lockstep SoA batch engine and the
-//! scalar engine: for randomized scenarios spanning distribution families,
-//! recharge kinds, coordination modes, and policy shapes, every per-seed
+//! Property-based equivalence between batched and standalone runs: for
+//! randomized scenarios spanning distribution families, recharge kinds,
+//! coordination modes, and policy shapes, every per-seed
 //! [`evcap_sim::SimReport`] out of a [`ReplicationBatch`] must be
-//! bit-identical to a standalone scalar run with the same strided seed, and
-//! the cross-seed reduction must not depend on the thread/chunk count.
+//! bit-identical to a standalone [`Simulation::run`] with the same strided
+//! seed, and the cross-seed reduction must not depend on the thread count.
+//!
+//! Both sides run the same slot kernel, so this suite proves the batch
+//! layer (shared sampler and policy table, seed striding, the seed-order
+//! reduction), not the kernel itself; `tests/golden_reports.rs` pins the
+//! kernel's outputs.
 
 use evcap_core::{ActivationPolicy, AggressivePolicy, EnergyBudget, GreedyPolicy};
 use evcap_dist::{Discretizer, Exponential, InterArrival, Pareto, UniformArrival, Weibull};
@@ -27,8 +32,8 @@ enum Recharge {
 impl Recharge {
     /// Builds the process for one sensor. Parameters are staggered by sensor
     /// index so multi-sensor scenarios exercise heterogeneous processes of
-    /// the same kind (the case the SoA sweep classifier must keep separate
-    /// per sensor).
+    /// the same kind (the case the kernel's per-sensor recharge
+    /// classification must keep separate).
     fn make(self, sensor: usize) -> Box<dyn RechargeProcess> {
         let bump = 1.0 + sensor as f64 * 0.25;
         match self {

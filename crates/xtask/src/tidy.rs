@@ -75,10 +75,10 @@ pub const RULES: &[(&str, &str)] = &[
          must fall back to a fresh solve, never reach a client",
     ),
     (
-        "batch-soa",
-        "crates/sim/src/batch.rs must route replications through the lockstep SoA engine \
-         (soa::run_chunk); calling back into the scalar per-replication entry points \
-         (run_core / run_on_observed) forfeits the batching speedup one seed at a time",
+        "batch-setup",
+        "crates/sim/src/batch.rs builds the event sampler and the policy table once per \
+         batch; a per-seed set-up entry point (EventSchedule::generate, Simulation::run / \
+         run_observed / run_on) rebuilds them for every replication",
     ),
     (
         "forbid-unsafe",
@@ -231,6 +231,17 @@ const SOLVE_NEEDLES: &[&str] = &[
     "AggressivePolicy::new(",
 ];
 
+/// Per-seed set-up entry points: each rebuilds the event sampler (alias
+/// tables) or the compiled policy table that a batch builds once.
+const BATCH_SETUP_NEEDLES: &[&str] = &[
+    "EventSchedule::generate(",
+    "EventSchedule::generate_stationary(",
+    ".run(",
+    ".run_observed(",
+    ".run_on(",
+    ".run_on_observed(",
+];
+
 /// Comparison spellings that rank candidates by raw capture probability.
 /// Outside crates/core — where the `Objective` abstraction owns scoring —
 /// such a comparison silently re-hard-codes the QoM objective.
@@ -380,18 +391,22 @@ fn content_violations(file: &SourceFile) -> Vec<Violation> {
             }
         }
 
-        // batch-soa: the batch layer went per-seed once and it cost 16× the
-        // setup work; keep it on the lockstep chunk engine.
-        if file.path == "crates/sim/src/batch.rs"
-            && (line.contains("run_core(") || line.contains("run_on_observed("))
-            && !file.line_waived(idx, "batch-soa")
-        {
-            push(
-                idx,
-                "batch-soa",
-                "scalar engine entry point in the batch layer — route through soa::run_chunk"
-                    .to_owned(),
-            );
+        // batch-setup: the batch layer went per-seed once and it cost 16×
+        // the setup work; replications must share the batch's sampler and
+        // compiled table and enter the kernel directly.
+        if file.path == "crates/sim/src/batch.rs" {
+            for needle in BATCH_SETUP_NEEDLES {
+                if line.contains(needle) && !file.line_waived(idx, "batch-setup") {
+                    push(
+                        idx,
+                        "batch-setup",
+                        format!(
+                            "`{needle}..)` in the batch layer rebuilds per-seed set-up — share \
+                             the batch's sampler and table and call the kernel"
+                        ),
+                    );
+                }
+            }
         }
 
         // unsafe: token-level word match so `unsafe_code` in attributes
@@ -733,21 +748,21 @@ const CASES: &[Case] = &[
         expect: &[],
     },
     Case {
-        label: "batch-soa fires on a scalar engine call in the batch layer",
+        label: "batch-setup fires on per-seed set-up in the batch layer",
         path: "crates/sim/src/batch.rs",
-        content: "fn f() {\n    let report = sim.run_core(schedule, info, &prob, &mut mk, &mut obs);\n}\n",
-        expect: &["batch-soa"],
+        content: "fn f() {\n    let schedule = EventSchedule::generate(pmf, slots, seed)?;\n    let report = sim.run_on(&schedule, policy, &mut mk)?;\n}\n",
+        expect: &["batch-setup", "batch-setup"],
     },
     Case {
-        label: "batch-soa ignores scalar engine calls elsewhere",
+        label: "batch-setup ignores per-seed set-up elsewhere",
         path: "crates/sim/src/engine.rs",
-        content: "fn f() {\n    let report = self.run_on_observed(schedule, policy, mk, observer);\n}\n",
+        content: "fn f() {\n    let schedule = EventSchedule::generate(self.pmf, self.slots, self.seed)?;\n    let report = self.run_on_observed(&schedule, policy, mk, observer);\n}\n",
         expect: &[],
     },
     Case {
-        label: "batch-soa with an escape passes",
+        label: "batch-setup with an escape passes",
         path: "crates/sim/src/batch.rs",
-        content: "fn f() {\n    // tidy:allow(batch-soa): equivalence check against the scalar engine\n    let report = sim.run_core(schedule, info, &prob, &mut mk, &mut obs);\n}\n",
+        content: "fn f() {\n    // tidy:allow(batch-setup): cross-check against a standalone run\n    let report = sim.run(policy, &mut mk)?;\n}\n",
         expect: &[],
     },
     Case {

@@ -22,7 +22,7 @@ case "$HOST_TARGET" in
 esac
 
 # The concurrent surfaces: the sharded single-flight cache + server pool
-# (evcap-serve), the parallel map and lockstep batch engine (evcap-sim),
+# (evcap-serve), the parallel map and replication batch (evcap-sim),
 # and the mutex-serialized artifact store (evcap-store).
 export RUSTFLAGS="-Zsanitizer=thread ${RUSTFLAGS:-}"
 export RUSTDOCFLAGS="-Zsanitizer=thread"
