@@ -553,7 +553,7 @@ fn check_objective_bound(scenario: &Scenario, solved: &SolvedPolicy, opts: &Audi
         .discharge_rate
         .map_or(e_total, |r| r.max(e_total));
     let budget = EnergyBudget::per_slot(rate);
-    // tidy:allow(solve-site): independent recomputation of the FI bound is the point of the audit
+    // deepcheck:allow(solve-site): independent recomputation of the FI bound is the point of the audit
     let bound = match GreedyPolicy::optimize(&solved.pmf, budget, &solved.consumption) {
         Ok(fi) => fi.ideal_qom(),
         Err(e) => {

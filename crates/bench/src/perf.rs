@@ -80,7 +80,7 @@ impl Throughput {
 pub fn measured<R>(f: impl FnOnce() -> R) -> (R, Option<Throughput>) {
     timing::set_enabled(true);
     timing::reset();
-    let wall = Instant::now(); // tidy:allow(instant-now): the perf harness is itself the timing authority
+    let wall = Instant::now(); // deepcheck:allow(instant-now): the perf harness is itself the timing authority
     let result = f();
     let wall_seconds = wall.elapsed().as_secs_f64();
     let spans = timing::drain_spans();
@@ -114,7 +114,7 @@ pub fn measured<R>(f: impl FnOnce() -> R) -> (R, Option<Throughput>) {
 pub fn with_throughput<R>(label: &str, f: impl FnOnce() -> R) -> R {
     let (result, throughput) = measured(f);
     if let Some(t) = throughput {
-        eprintln!( // tidy:allow(print): perf reports go to stderr by design (stdout carries figure tables)
+        eprintln!( // deepcheck:allow(print): perf reports go to stderr by design (stdout carries figure tables)
             "# perf {label}: {} slots in {} runs, cpu {:.2} s, {:.2} M slots/sec/core, wall {:.2} s",
             t.slots,
             t.runs,
@@ -124,11 +124,11 @@ pub fn with_throughput<R>(label: &str, f: impl FnOnce() -> R) -> R {
         );
         if let Ok(path) = std::env::var("EVCAP_PERF_LOG") {
             if let Err(err) = append_record(&path, t.record(label)) {
-                eprintln!("# perf {label}: cannot append to {path}: {err}"); // tidy:allow(print): perf reports go to stderr by design
+                eprintln!("# perf {label}: cannot append to {path}: {err}"); // deepcheck:allow(print): perf reports go to stderr by design
             }
         }
     } else {
-        eprintln!("# perf {label}: no simulation ran, wall only"); // tidy:allow(print): perf reports go to stderr by design
+        eprintln!("# perf {label}: no simulation ran, wall only"); // deepcheck:allow(print): perf reports go to stderr by design
     }
     result
 }
@@ -217,7 +217,7 @@ impl LatencySummary {
 /// Reports a loadgen run the same way `with_throughput` reports figure
 /// runners: one line on stderr plus an `EVCAP_PERF_LOG` append when set.
 pub fn report_loadgen(label: &str, summary: &LatencySummary) {
-    eprintln!( // tidy:allow(print): perf reports go to stderr by design (stdout carries figure tables)
+    eprintln!( // deepcheck:allow(print): perf reports go to stderr by design (stdout carries figure tables)
         "# perf {label}: {} requests ({} errors) in {:.2} s, {:.0} req/s, p50 {:.0} µs, p99 {:.0} µs",
         summary.count,
         summary.errors,
@@ -228,7 +228,7 @@ pub fn report_loadgen(label: &str, summary: &LatencySummary) {
     );
     if let Ok(path) = std::env::var("EVCAP_PERF_LOG") {
         if let Err(err) = append_record(&path, summary.record(label)) {
-            eprintln!("# perf {label}: cannot append to {path}: {err}"); // tidy:allow(print): perf reports go to stderr by design
+            eprintln!("# perf {label}: cannot append to {path}: {err}"); // deepcheck:allow(print): perf reports go to stderr by design
         }
     }
 }

@@ -31,7 +31,7 @@ pub fn ablation_clustering_regions(scale: Scale) -> Figure {
     let mut no_cooling = Series::new("no-cooling");
     for c in [0.6, 1.0, 1.4, 1.8] {
         let budget = EnergyBudget::per_slot(q * c);
-        let (policy, _) = ClusteringOptimizer::new(budget) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let (policy, _) = ClusteringOptimizer::new(budget) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .optimize(&pmf, &consumption)
             .expect("feasible budget");
         let sim = |p: &ClusteringPolicy| {
@@ -52,12 +52,12 @@ pub fn ablation_clustering_regions(scale: Scale) -> Figure {
         // Push the recovery region out beyond any reachable state.
         let (c1, c2, _) = policy.boundary_coefficients();
         let distant = u32::MAX as usize;
-        let variant = ClusteringPolicy::new(policy.n1(), policy.n2(), distant, c1, c2, 0.0) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let variant = ClusteringPolicy::new(policy.n1(), policy.n2(), distant, c1, c2, 0.0) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .expect("ordered regions");
         no_recovery.push(c, sim(&variant));
 
         // Remove the initial cooling region: hot from slot 1.
-        let variant = ClusteringPolicy::new(1, policy.n2(), policy.n3(), 1.0, c2, 1.0) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let variant = ClusteringPolicy::new(1, policy.n2(), policy.n3(), 1.0, c2, 1.0) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .expect("ordered regions");
         no_cooling.push(c, sim(&variant));
     }

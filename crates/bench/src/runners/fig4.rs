@@ -54,7 +54,7 @@ fn run(
         (
             c,
             sim(cl_policy.as_ref()),
-            sim(&AggressivePolicy::new()), // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+            sim(&AggressivePolicy::new()), // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             sim(pe.as_ref()),
         )
     });
@@ -117,7 +117,7 @@ pub fn fig4b(scale: Scale) -> Figure {
         &pmf,
         &cs,
         &|c| {
-            let (policy, _) = ClusteringOptimizer::new(EnergyBudget::per_slot(Q * c)) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+            let (policy, _) = ClusteringOptimizer::new(EnergyBudget::per_slot(Q * c)) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
                 .eval_options(opts)
                 .optimize(&pmf, &consumption)
                 .expect("feasible budget");

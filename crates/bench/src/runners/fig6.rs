@@ -46,11 +46,11 @@ fn run(
         let pi_policy = solved("weibull:40,3", 65_536, PolicySpec::Clustering, Q * c, n).policy;
         let pi_qom = sim(pi_policy.as_ref(), SlotAssignment::RoundRobin);
 
-        let ag_qom = sim(&AggressivePolicy::new(), SlotAssignment::RoundRobin); // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let ag_qom = sim(&AggressivePolicy::new(), SlotAssignment::RoundRobin); // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
 
         // The in-charge sensor banks energy during the other sensors'
         // blocks, so the sustainable duty cycle reflects the aggregate rate.
-        let pe = PeriodicPolicy::energy_balanced(3, aggregate, pmf.mean(), &consumption) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let pe = PeriodicPolicy::energy_balanced(3, aggregate, pmf.mean(), &consumption) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .expect("valid setup");
         let pe_qom = sim(
             &pe,

@@ -28,7 +28,7 @@ pub fn ablation_refined_convergence(_scale: Scale) -> Figure {
 
     for e in [0.7, 0.9, 1.2, 1.6, 2.0] {
         let budget = EnergyBudget::per_slot(e);
-        let (coarse, coarse_eval) = ClusteringOptimizer::new(budget) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let (coarse, coarse_eval) = ClusteringOptimizer::new(budget) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .optimize(&small, &consumption)
             .expect("feasible");
         clustering.push(e, coarse_eval.capture_probability);
@@ -39,7 +39,7 @@ pub fn ablation_refined_convergence(_scale: Scale) -> Figure {
         let (_, r3) = seed.refine(&small, budget, &consumption, opts, 3, 24);
         refined3.push(e, r3.capture_probability);
 
-        let my = MyopicPolicy::derive(&small, budget, &consumption, 24, opts).expect("feasible"); // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let my = MyopicPolicy::derive(&small, budget, &consumption, 24, opts).expect("feasible"); // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
         myopic.push(e, my.evaluation().capture_probability);
 
         let (_, ex) = ExhaustiveSearch::new(budget, 14)
@@ -72,14 +72,14 @@ pub fn ablation_refined_weibull40(_scale: Scale) -> Figure {
     let mut myopic = Series::new("myopic");
     for e in [0.3, 0.5, 0.8] {
         let budget = EnergyBudget::per_slot(e);
-        let (coarse, coarse_eval) = ClusteringOptimizer::new(budget) // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let (coarse, coarse_eval) = ClusteringOptimizer::new(budget) // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
             .optimize(&pmf, &consumption)
             .expect("feasible");
         clustering.push(e, coarse_eval.capture_probability);
         let (_, r2) =
             RegionPolicy::from_clustering(&coarse).refine(&pmf, budget, &consumption, opts, 2, 24);
         refined2.push(e, r2.capture_probability);
-        let my = MyopicPolicy::derive(&pmf, budget, &consumption, 160, opts).expect("feasible"); // tidy:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
+        let my = MyopicPolicy::derive(&pmf, budget, &consumption, 160, opts).expect("feasible"); // deepcheck:allow(solve-site): bench runners sweep raw optimizer variants the artifact layer does not expose
         myopic.push(e, my.evaluation().capture_probability);
     }
     let mut fig = Figure::new(

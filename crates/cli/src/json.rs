@@ -3,42 +3,15 @@
 //! The offline dependency set includes `serde` but not `serde_json`, so
 //! Serialize impls alone could not produce any bytes; instead the CLI
 //! hand-writes the few JSON shapes it needs (simulation reports and
-//! figures). The writer escapes strings per RFC 8259 and renders non-finite
-//! floats as `null`.
+//! figures) on the shared `evcap_obs::jsonl` primitives, which escape
+//! strings per RFC 8259 and render non-finite floats as `null`.
 
 use std::fmt::Write as _;
 
 use evcap_bench::Figure;
+use evcap_obs::jsonl::{escape, num};
 use evcap_sim::{BatchReport, SimReport};
 use evcap_spec::Objective;
-
-/// Escapes a string for inclusion in JSON.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a float as a JSON number (`null` for NaN/∞, which JSON lacks).
-pub(crate) fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// Serializes a simulation report. Age fields appear only under a
 /// non-default objective, so pre-objective output stays byte-identical.

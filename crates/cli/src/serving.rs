@@ -132,7 +132,7 @@ pub fn loadgen(args: &Args) -> CmdResult {
     let shares: Vec<u64> = (0..concurrency as u64)
         .map(|w| requests / concurrency as u64 + u64::from(w < requests % concurrency as u64))
         .collect();
-    let wall = Instant::now(); // tidy:allow(instant-now): loadgen measures request latency directly
+    let wall = Instant::now(); // deepcheck:allow(instant-now): loadgen measures request latency directly
     let per_worker = parallel_map(shares, |share| {
         let mut samples: Vec<u64> = Vec::with_capacity(share as usize);
         let mut errors = 0u64;
@@ -141,7 +141,7 @@ pub fn loadgen(args: &Args) -> CmdResult {
             Err(_) => return (samples, share),
         };
         for _ in 0..share {
-            let start = Instant::now(); // tidy:allow(instant-now): loadgen measures request latency directly
+            let start = Instant::now(); // deepcheck:allow(instant-now): loadgen measures request latency directly
             match conn.request(method, &path, &body) {
                 Ok(resp) if (200..300).contains(&resp.status) => {
                     samples.push(start.elapsed().as_nanos() as u64);

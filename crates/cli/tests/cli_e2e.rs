@@ -212,6 +212,9 @@ fn bench_sim_writes_throughput_json() {
     // (throughput itself is wall-based; the old `sim_seconds` name is gone).
     assert!(doc.contains("\"cpu_seconds\""), "{doc}");
     assert!(!doc.contains("\"sim_seconds\""), "{doc}");
+    // Batch and sequential loop run one kernel, so their ratio is host
+    // noise and no longer a recorded gate.
+    assert!(!doc.contains("batched_t1_beats_sequential"), "{doc}");
     std::fs::remove_file(&path).ok();
 }
 

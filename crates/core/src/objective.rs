@@ -29,7 +29,7 @@
 //!
 //! **This module is the only place that maps an objective to a score.** The
 //! optimizers, the scenario layer, the server, and the benches all go
-//! through [`Objective::score`] / [`Objective::value`]; `xtask tidy`
+//! through [`Objective::score`] / [`Objective::value`]; `xtask deepcheck`
 //! (rule `objective-score`) enforces that no other file compares raw
 //! capture probabilities to rank candidates.
 

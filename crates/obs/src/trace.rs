@@ -13,7 +13,7 @@
 //! Trace ids are 16 lowercase hex characters. Generated ids come from a
 //! splitmix64 sequence over a process-global counter — the same mixer the
 //! simulator uses for seed derivation — so they are unique within a
-//! process without touching the wall clock (the `xtask tidy` clock rule
+//! process without touching the wall clock (the `xtask deepcheck` clock rule
 //! stays intact). Callers may supply an external id instead (e.g. an
 //! `X-Request-Id` header) via [`start`].
 //!

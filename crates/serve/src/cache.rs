@@ -70,12 +70,12 @@ impl<V> Lru<V> {
 
     fn node(&self, i: usize) -> &Node<V> {
         // deepcheck:allow(panic-path): slab slots reachable through map/list links are live by construction; a dead index is a corrupted Lru, not request input
-        self.nodes[i].as_ref().expect("live node") // tidy:allow(serve-unwrap): intrusive-list liveness invariant, not request input
+        self.nodes[i].as_ref().expect("live node") // deepcheck:allow(serve-unwrap): intrusive-list liveness invariant, not request input
     }
 
     fn node_mut(&mut self, i: usize) -> &mut Node<V> {
         // deepcheck:allow(panic-path): slab slots reachable through map/list links are live by construction; a dead index is a corrupted Lru, not request input
-        self.nodes[i].as_mut().expect("live node") // tidy:allow(serve-unwrap): intrusive-list liveness invariant, not request input
+        self.nodes[i].as_mut().expect("live node") // deepcheck:allow(serve-unwrap): intrusive-list liveness invariant, not request input
     }
 
     fn unlink(&mut self, i: usize) {
@@ -137,7 +137,7 @@ impl<V> Lru<V> {
             let t = self.tail;
             self.unlink(t);
             // deepcheck:allow(panic-path): the tail of a non-empty list is a live slab slot; a dead index is a corrupted Lru, not request input
-            let node = self.nodes[t].take().expect("tail is live"); // tidy:allow(serve-unwrap): intrusive-list liveness invariant, not request input
+            let node = self.nodes[t].take().expect("tail is live"); // deepcheck:allow(serve-unwrap): intrusive-list liveness invariant, not request input
             self.free.push(t);
             self.map.remove(&node.key);
             Some((node.key, node.value))
@@ -171,7 +171,7 @@ impl<V> Lru<V> {
         let i = self.map.remove(key)?;
         self.unlink(i);
         // deepcheck:allow(panic-path): slab slots reachable through the map are live by construction; a dead index is a corrupted Lru, not request input
-        let node = self.nodes[i].take().expect("live node"); // tidy:allow(serve-unwrap): intrusive-list liveness invariant, not request input
+        let node = self.nodes[i].take().expect("live node"); // deepcheck:allow(serve-unwrap): intrusive-list liveness invariant, not request input
         self.free.push(i);
         Some(node.value)
     }

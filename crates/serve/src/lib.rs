@@ -19,7 +19,7 @@
 //! same Weibull policy cost one LP solve, not N.
 
 // `forbid` would reject the signal shim's module-level `allow`, so the
-// crate denies and the shim alone opts out (tidy checks the pairing).
+// crate denies and the shim alone opts out (deepcheck checks the pairing).
 #![deny(unsafe_code)]
 
 pub mod cache;
@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod prometheus;
 pub mod scenario;
 pub mod server;
-#[allow(unsafe_code)] // tidy:allow(unsafe): the signal(2) FFI shim
+#[allow(unsafe_code)] // the signal(2) FFI shim
 pub mod signal;
 
 pub use cache::{Fetch, Lru, ShardSnapshot, ShardedCache, StatsSnapshot};

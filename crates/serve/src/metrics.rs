@@ -61,7 +61,7 @@ impl Metrics {
     /// Fresh metrics; `started` anchors the uptime field.
     pub fn new() -> Self {
         Self {
-            started: Instant::now(), // tidy:allow(instant-now): uptime epoch for the /metrics endpoint
+            started: Instant::now(), // deepcheck:allow(instant-now): uptime epoch for the /metrics endpoint
             requests: AtomicU64::new(0),
             solve_requests: AtomicU64::new(0),
             simulate_requests: AtomicU64::new(0),

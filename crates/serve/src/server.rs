@@ -460,7 +460,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             .config
             .trace
             .then(|| evcap_obs::trace::start(request_id));
-        let start = Instant::now(); // tidy:allow(instant-now): access-log latency stamp
+        let start = Instant::now(); // deepcheck:allow(instant-now): access-log latency stamp
         let routed = route(&request, shared);
         let traced = trace_guard.is_some_and(|g| g.finish_into(&mut trace_buf));
         let trace_record = traced.then_some(&trace_buf);
@@ -559,7 +559,7 @@ fn dump_slow_request(
     trace: Option<&TraceRecord>,
 ) {
     let trace_id = trace.map_or("-", |t| t.trace_id.as_str());
-    // tidy:allow(print): deliberate slow-request diagnostics on stderr
+    // deepcheck:allow(print): deliberate slow-request diagnostics on stderr
     eprintln!(
         "slow request: {method} {path} {} {:.1}ms cache={} trace={trace_id}",
         routed.status,
@@ -572,7 +572,7 @@ fn dump_slow_request(
     );
     if let Some(trace) = trace {
         for event in &trace.events {
-            // tidy:allow(print): deliberate slow-request diagnostics on stderr
+            // deepcheck:allow(print): deliberate slow-request diagnostics on stderr
             eprintln!(
                 "  span {} parent={} start={:.1}us dur={:.1}us{}{}",
                 event.name,
@@ -689,7 +689,7 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                     s.cache_key(),
                     shared.config.coalesce_timeout,
                     || {
-                        let t = Instant::now(); // tidy:allow(instant-now): access-log latency stamp
+                        let t = Instant::now(); // deepcheck:allow(instant-now): access-log latency stamp
                         let result = artifact(shared, &s.scenario, s.artifact_key())
                             .map(|a| handlers::render_solve(&s, &a));
                         shared.metrics.solve_latency.observe(t.elapsed());

@@ -124,7 +124,7 @@ pub fn run_adaptive_greedy(
             config.seed.wrapping_add(episode as u64 * 0x9E37),
         )?;
         let observations = observed_gaps.len();
-        let bootstrap = AggressivePolicy::new(); // tidy:allow(solve-site): episode re-planning from the fitted empirical pmf; no scenario spec exists
+        let bootstrap = AggressivePolicy::new(); // deepcheck:allow(solve-site): episode re-planning from the fitted empirical pmf; no scenario spec exists
         let policy: &dyn ActivationPolicy = match &fitted_policy {
             Some(p) => p,
             None => &bootstrap,
@@ -154,7 +154,7 @@ pub fn run_adaptive_greedy(
         if observed_gaps.len() >= config.min_observations {
             let fitted =
                 EmpiricalGaps::from_slot_gaps(observed_gaps.clone())?.to_slot_pmf(Some(0.5))?;
-            // tidy:allow(solve-site): episode re-planning from the fitted empirical pmf; no scenario spec exists
+            // deepcheck:allow(solve-site): episode re-planning from the fitted empirical pmf; no scenario spec exists
             fitted_policy = Some(GreedyPolicy::optimize(&fitted, budget, consumption)?);
         }
     }

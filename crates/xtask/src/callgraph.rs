@@ -57,10 +57,10 @@ fn is_std_qualifier(q: &str) -> bool {
 use crate::lexer::{Tok, TokKind};
 use crate::syntax::{body_facts, BodyFacts, Call, CallKind, FnDef};
 
-/// Method names that exist on the std atomics; a call to one whose
-/// arguments mention a memory `Ordering` is an atomic op, not a
-/// workspace method.
-fn is_atomic_method(name: &str) -> bool {
+/// True when a `.name(…)` call at `call_tok` is an atomic operation: a
+/// method that exists on the std atomics, called with arguments that
+/// mention a memory `Ordering` — not a workspace method.
+pub fn is_atomic_op(body: &[Tok], name: &str, call_tok: usize) -> bool {
     matches!(
         name,
         "load"
@@ -74,7 +74,7 @@ fn is_atomic_method(name: &str) -> bool {
             | "fetch_update"
             | "compare_exchange"
             | "compare_exchange_weak"
-    )
+    ) && args_mention_ordering(body, call_tok)
 }
 
 /// True when any token inside the call's argument parens is a memory
@@ -267,8 +267,7 @@ impl Graph {
                 }
                 // Atomic ops: `hits.load(Ordering::Relaxed)` must not
                 // alias `Store::load`.
-                if is_atomic_method(name) && args_mention_ordering(&self.fns[caller].body, call.tok)
-                {
+                if is_atomic_op(&self.fns[caller].body, name, call.tok) {
                     return (Vec::new(), false);
                 }
                 (

@@ -1,29 +1,37 @@
-//! `xtask deepcheck`: call-graph-aware workspace analyses.
+//! `xtask deepcheck`: the workspace analyzer.
 //!
-//! Where `tidy` scans lines, deepcheck reasons over an approximate call
-//! graph (lexer → item extractor → resolution by name) and proves three
-//! reachability properties:
+//! One pipeline (lexer → item extractor → name-resolved call graph) runs
+//! two kinds of rules over every source file:
 //!
-//! - **panic-path** — no serve request-path root reaches `panic!` /
-//!   `unwrap` / `expect` / `unreachable!` / runtime slice indexing.
-//! - **lock-order / lock-blocking** — the lock-acquisition graph of
-//!   `crates/serve` + `crates/store` is cycle-free, and no lock is held
-//!   across solver calls, file I/O, or socket writes.
-//! - **alloc-hot** — the per-request bookkeeping paths (cache-hit
-//!   recording, `/metrics` counters) reach no allocating constructor.
+//! - **conventions** — token rules (policy construction sites, clocks,
+//!   threads, prints, hand-rolled JSON, `unsafe`, serve unwraps, raw QoM
+//!   ranking, per-seed batch set-up), crate-root rules (`forbid-unsafe`,
+//!   `crate-docs`) and the `store-certify` call-site rule; see
+//!   [`conventions`].
+//! - **reachability** over the call graph of the crates a serve request
+//!   can reach (`GRAPH_CRATES`):
+//!   - **panic-path** — no serve request-path root reaches `panic!` /
+//!     `unwrap` / `expect` / `unreachable!` / runtime slice indexing.
+//!   - **lock-order / lock-blocking** — the lock-acquisition graph of
+//!     `crates/serve` + `crates/store` is cycle-free, and no lock is held
+//!     across solver calls, file I/O, or socket writes.
+//!   - **alloc-hot** — the per-request bookkeeping paths (cache-hit
+//!     recording, `/metrics` counters) reach no allocating constructor.
 //!
-//! A finding carries the full call chain. It can be waived at the site
-//! (or at a call line, cutting traversal through it) with
+//! A reachability finding carries the full call chain. Any finding can
+//! be waived at the site (or, for reachability, at a call line, cutting
+//! traversal through it) with
 //!
 //! ```text
 //! // deepcheck:allow(rule): one-line justification
 //! ```
 //!
-//! Waivers are tracked: one that is never consulted by an analysis is
-//! itself reported (`stale-waiver`), and a malformed or unknown-rule
-//! waiver is reported (`waiver`) — so the escape ledger stays honest.
+//! Waivers are tracked: one that is never consulted by a rule is itself
+//! reported (`stale-waiver`), and a malformed or unknown-rule waiver is
+//! reported (`waiver`) — so the escape ledger stays honest.
 
 pub mod alloc;
+pub mod conventions;
 pub mod locks;
 pub mod panics;
 mod selftest;
@@ -37,7 +45,8 @@ use std::process::ExitCode;
 
 use crate::callgraph::Graph;
 use crate::files::{collect_sources, crate_of, workspace_root};
-use crate::syntax::parse_file;
+use crate::lexer::lex;
+use crate::syntax::parse_tokens;
 
 /// Every rule deepcheck knows about.
 pub const RULES: &[(&str, &str)] = &[
@@ -63,14 +72,77 @@ pub const RULES: &[(&str, &str)] = &[
          ...) is reachable from an allocation-free hot-path root",
     ),
     (
+        "solve-site",
+        "policy construction (GreedyPolicy::optimize, ClusteringOptimizer, ...) belongs in \
+         crates/spec's solve(); other call sites need a waiver explaining why they bypass \
+         the Scenario -> SolvedPolicy artifact layer",
+    ),
+    (
+        "serve-unwrap",
+        "no .unwrap()/.expect( on evcap-serve request paths: a worker panic silently drops \
+         the connection instead of answering with a structured error",
+    ),
+    (
+        "instant-now",
+        "Instant::now outside evcap-obs bypasses the instrumentation layer's timing spans",
+    ),
+    (
+        "thread-spawn",
+        "threads are spawned only by evcap_sim::parallel and the server accept pool; ad-hoc \
+         threads escape the shutdown and panic-propagation story",
+    ),
+    (
+        "json-fmt",
+        "hand-rolled JSON (a `{\\\"` literal) outside the shared writers (evcap-obs jsonl, \
+         cli json) drifts from the escaping rules the parsers expect",
+    ),
+    (
+        "print",
+        "println!/eprintln! belongs to the CLI (crates/cli/src) — library crates report \
+         through evcap-obs records or return values; deliberate stderr diagnostics carry \
+         a waiver",
+    ),
+    (
+        "unsafe",
+        "unsafe code lives only in the serve signal shim, where every block carries a \
+         SAFETY: comment; everywhere else the crate root forbids it",
+    ),
+    (
+        "store-certify",
+        "a crates/serve function that loads an artifact (Store::load / rehydrate) must call \
+         evcap_audit::certify later in the same body — a stale, corrupt, or tampered record \
+         must fall back to a fresh solve, never reach a client",
+    ),
+    (
+        "batch-setup",
+        "crates/sim/src/batch.rs builds the event sampler and the policy table once per \
+         batch; a per-seed set-up entry point (EventSchedule::generate, Simulation::run / \
+         run_observed / run_on) rebuilds them for every replication",
+    ),
+    (
+        "forbid-unsafe",
+        "every crate root carries #![forbid(unsafe_code)] (or #![deny] when a module must \
+         opt out, as the signal shim does)",
+    ),
+    (
+        "crate-docs",
+        "every crate root opens with //! documentation",
+    ),
+    (
+        "objective-score",
+        "ranking candidates by raw capture_probability outside crates/core hard-codes the \
+         QoM objective; score through Objective::utility / greedy_utility so age objectives \
+         see the same candidate machinery",
+    ),
+    (
         "waiver",
         "a deepcheck:allow escape is malformed: unknown rule name or missing `: why` \
          justification",
     ),
     (
         "stale-waiver",
-        "a deepcheck:allow escape was never consulted by any analysis — the code it \
-         excused is gone or unreachable; remove it",
+        "a deepcheck:allow escape was never consulted by any rule — the code it excused \
+         is gone or unreachable; remove it",
     ),
 ];
 
@@ -84,7 +156,9 @@ const GRAPH_CRATES: &[&str] = &[
 
 /// One source file fed to the analyzer.
 pub struct SourceUnit {
-    pub crate_name: String,
+    /// The crate whose call graph the file joins; `None` keeps it out of
+    /// the graph (the convention rules still read it).
+    pub crate_name: Option<String>,
     pub file: String,
     pub src: String,
 }
@@ -112,6 +186,17 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A finding without a call chain.
+    pub fn new(rule: &'static str, file: &str, line: u32, message: String) -> Finding {
+        Finding {
+            rule,
+            file: file.to_owned(),
+            line,
+            message,
+            chain: Vec::new(),
+        }
+    }
+
     /// The finding plus its chain, flattened — used by the self-test
     /// substring assertions and the human renderer.
     pub fn rendered(&self) -> String {
@@ -148,11 +233,17 @@ impl Waivers {
     /// Parses escapes out of the raw sources. Malformed escapes (unknown
     /// rule, missing justification) become `waiver` findings immediately
     /// and do not enter the valid set, so they cannot suppress anything.
+    /// The analyzer's own crate is skipped: its fixtures spell waivers
+    /// inside string literals.
     pub fn parse(units: &[SourceUnit]) -> (Waivers, Vec<Finding>) {
         let mut by_file: BTreeMap<String, Vec<Waiver>> = BTreeMap::new();
         let mut findings = Vec::new();
-        for u in units {
+        for u in units
+            .iter()
+            .filter(|u| !u.file.starts_with("crates/xtask/"))
+        {
             for (idx, line) in u.src.lines().enumerate() {
+                let line_no = idx as u32 + 1;
                 let mut from = 0;
                 while let Some(pos) = line[from..].find("deepcheck:allow(") {
                     let at = from + pos + "deepcheck:allow(".len();
@@ -163,30 +254,26 @@ impl Waivers {
                     let rest = &line[at + close + 1..];
                     from = at + close;
                     if !RULES.iter().any(|(name, _)| name == &rule) {
-                        findings.push(Finding {
-                            rule: "waiver",
-                            file: u.file.clone(),
-                            line: idx as u32 + 1,
-                            message: format!("escape names unknown rule `{rule}`"),
-                            chain: Vec::new(),
-                        });
+                        findings.push(Finding::new(
+                            "waiver",
+                            &u.file,
+                            line_no,
+                            format!("escape names unknown rule `{rule}`"),
+                        ));
                         continue;
                     }
                     let justification = rest.strip_prefix(':').map(str::trim).unwrap_or("");
                     if justification.is_empty() {
-                        findings.push(Finding {
-                            rule: "waiver",
-                            file: u.file.clone(),
-                            line: idx as u32 + 1,
-                            message: format!(
-                                "deepcheck:allow({rule}) lacks a `: why` justification"
-                            ),
-                            chain: Vec::new(),
-                        });
+                        findings.push(Finding::new(
+                            "waiver",
+                            &u.file,
+                            line_no,
+                            format!("deepcheck:allow({rule}) lacks a `: why` justification"),
+                        ));
                         continue;
                     }
                     by_file.entry(u.file.clone()).or_default().push(Waiver {
-                        line: idx as u32 + 1,
+                        line: line_no,
                         rule: rule.to_owned(),
                         used: Cell::new(false),
                     });
@@ -199,16 +286,26 @@ impl Waivers {
     /// True when a valid waiver for `rule` sits on `line` or the line
     /// above it in `file`; marks the waiver used.
     pub fn covers(&self, file: &str, line: u32, rule: &str) -> bool {
+        self.consult(file, rule, |at| at == line || at + 1 == line)
+    }
+
+    /// True when a valid waiver for `rule` sits anywhere in `file` (the
+    /// crate-root rules); marks the waiver used.
+    pub fn covers_file(&self, file: &str, rule: &str) -> bool {
+        self.consult(file, rule, |_| true)
+    }
+
+    fn consult(&self, file: &str, rule: &str, placed: impl Fn(u32) -> bool) -> bool {
         let Some(ws) = self.by_file.get(file) else {
             return false;
         };
-        for w in ws {
-            if w.rule == rule && (w.line == line || w.line + 1 == line) {
+        match ws.iter().find(|w| w.rule == rule && placed(w.line)) {
+            Some(w) => {
                 w.used.set(true);
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     fn total(&self) -> usize {
@@ -230,17 +327,16 @@ impl Waivers {
         for (file, ws) in &self.by_file {
             for w in ws {
                 if !w.used.get() {
-                    out.push(Finding {
-                        rule: "stale-waiver",
-                        file: file.clone(),
-                        line: w.line,
-                        message: format!(
+                    out.push(Finding::new(
+                        "stale-waiver",
+                        file,
+                        w.line,
+                        format!(
                             "deepcheck:allow({}) was never consulted — the code it excused is \
                              gone or unreachable; remove it",
                             w.rule
                         ),
-                        chain: Vec::new(),
-                    });
+                    ));
                 }
             }
         }
@@ -267,22 +363,27 @@ impl Report {
     }
 }
 
-/// Runs every analysis over the given sources. This is the single entry
+/// Runs every rule over the given sources. This is the single entry
 /// point the CLI, the self-test corpus, and the integration tests share —
 /// the fixture corpora are just alternative source sets.
 pub fn analyze(units: &[SourceUnit], cfg: &Config) -> Report {
     let (waivers, mut findings) = Waivers::parse(units);
     let mut fns = Vec::new();
     for u in units {
-        fns.extend(
-            parse_file(&u.crate_name, &u.file, &u.src)
-                .into_iter()
-                .filter(|f| !f.is_test),
-        );
+        let toks = lex(&u.src);
+        let krate = u.crate_name.as_deref().unwrap_or_default();
+        let (defs, test) = parse_tokens(krate, &u.file, &toks);
+        findings.extend(conventions::check_file(
+            &u.file, &u.src, &toks, &test, &waivers,
+        ));
+        if u.crate_name.is_some() {
+            fns.extend(defs.into_iter().filter(|f| !f.is_test));
+        }
     }
     let functions = fns.len();
     let graph = Graph::build(fns);
 
+    findings.extend(conventions::store_certify(&graph, &waivers));
     findings.extend(panics::check(&graph, cfg, &waivers));
     findings.extend(alloc::check(&graph, cfg, &waivers));
     findings.extend(locks::check(&graph, cfg, &waivers));
@@ -331,23 +432,17 @@ fn workspace_config() -> Config {
     }
 }
 
-/// Loads the workspace source set for the call graph.
+/// Loads every workspace source file; only `GRAPH_CRATES` files join
+/// the call graph.
 fn workspace_units() -> Vec<SourceUnit> {
     let root = workspace_root();
     let mut units = Vec::new();
     for rel in collect_sources(&root) {
         let path = rel.to_string_lossy().replace('\\', "/");
-        let Some(crate_name) = crate_of(&path) else {
-            continue;
-        };
-        if !GRAPH_CRATES.contains(&crate_name.as_str()) {
-            continue;
-        }
-        let Ok(src) = fs::read_to_string(root.join(&rel)) else {
-            continue;
-        };
+        let src = fs::read_to_string(root.join(&rel))
+            .unwrap_or_else(|err| panic!("deepcheck: cannot read {path}: {err}"));
         units.push(SourceUnit {
-            crate_name,
+            crate_name: crate_of(&path).filter(|c| GRAPH_CRATES.contains(&c.as_str())),
             file: path,
             src,
         });
@@ -358,9 +453,15 @@ fn workspace_units() -> Vec<SourceUnit> {
 /// `xtask deepcheck [--json]`.
 pub fn run(json: bool) -> ExitCode {
     let units = workspace_units();
+    let roots = units
+        .iter()
+        .filter(|u| conventions::is_crate_root(&u.file))
+        .count();
+    // The workspace has a dozen-plus crate roots; seeing almost none
+    // means the walk or the root heuristic silently broke.
     assert!(
-        units.len() >= 20,
-        "deepcheck walked only {} graph files — is the workspace layout intact?",
+        units.len() >= 20 && roots >= 10,
+        "deepcheck walked {} files and {roots} crate roots — is the workspace layout intact?",
         units.len()
     );
     let report = analyze(&units, &workspace_config());
@@ -371,7 +472,7 @@ pub fn run(json: bool) -> ExitCode {
             println!("deepcheck: {}", f.rendered());
         }
         println!(
-            "deepcheck: {} files, {} functions, {} waiver(s) ({} used) — {}",
+            "deepcheck: {} files, {roots} crate roots, {} functions, {} waiver(s) ({} used) — {}",
             report.files,
             report.functions,
             report.waivers,

@@ -4,8 +4,8 @@
 //! Panic sources per function body:
 //! - `panic!` / `unreachable!` / `todo!` / `unimplemented!` macro uses.
 //!   (`assert!` family is deliberately *not* a source: asserts state
-//!   invariants the code relies on and tidy polices their style; turning
-//!   every assert into a finding would bury the real signal.)
+//!   invariants the code relies on; turning every assert into a finding
+//!   would bury the real signal.)
 //! - `.unwrap()` / `.expect(…)` method calls — unless the call resolves
 //!   to a method the enclosing type itself defines (a parser's own
 //!   `fn expect` is an ordinary call, not `Option::expect`).

@@ -1,5 +1,5 @@
-//! Workspace discovery shared by `tidy` and `deepcheck`: locating the
-//! root, walking the source tree, and mapping paths to crate names.
+//! Workspace discovery for `deepcheck`: locating the root, walking the
+//! source tree, and mapping paths to crate names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -18,7 +18,7 @@ pub fn workspace_root() -> PathBuf {
     }
 }
 
-/// Collect every `.rs` file under the roots the lints care about, relative
+/// Collect every `.rs` file under the roots the analyzer reads, relative
 /// to the workspace root, in sorted order for deterministic output.
 pub fn collect_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();

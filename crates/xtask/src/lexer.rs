@@ -251,7 +251,13 @@ impl Lexer<'_> {
         i += 1;
         while i < self.bytes.len() {
             match self.bytes[i] {
-                b'\\' => i += 2,
+                b'\\' => {
+                    // A `\`-newline continuation still ends a source line.
+                    if self.bytes.get(i + 1) == Some(&b'\n') {
+                        self.line += 1;
+                    }
+                    i += 2;
+                }
                 b'\n' => {
                     self.line += 1;
                     i += 1;

@@ -1,22 +1,19 @@
 //! In-tree repo tooling, following the cargo-xtask pattern.
 //!
-//! Two lint layers share this crate, both std-only so the workspace stays
-//! offline-buildable:
+//! One analyzer, [`deepcheck`], std-only so the workspace stays
+//! offline-buildable. It is built from a real Rust lexer ([`lexer`]), an
+//! item/impl/fn extractor ([`syntax`]) and an approximate call graph
+//! ([`callgraph`]), and runs two kinds of rules over every source file:
+//! token rules for repo conventions the compiler cannot see (construction
+//! sites, clocks, threads, prints, JSON, unsafe, crate roots, certified
+//! store loads), and reachability proofs a line scan cannot make
+//! (panic-free serve request paths, cycle-free lock orders,
+//! allocation-free hot paths). Findings are waived inline with
+//! `// deepcheck:allow(rule): why`, and a waiver no rule consults is
+//! itself a finding, so waivers cannot rot.
 //!
-//! - [`tidy`] — a token-level line scan enforcing repo conventions
-//!   (construction sites, clocks, threads, JSON, unsafe, crate docs) with
-//!   inline `// tidy:allow(rule): why` escapes, plus stale-escape
-//!   detection so waivers cannot rot.
-//! - [`deepcheck`] — a syntax-aware analyzer built from a real Rust
-//!   lexer ([`lexer`]), an item/impl/fn extractor ([`syntax`]) and an
-//!   approximate call graph ([`callgraph`]). It proves reachability
-//!   properties a line scan cannot: panic-free serve request paths,
-//!   cycle-free lock acquisition orders, and allocation-free hot paths,
-//!   each with a `// deepcheck:allow(rule): why` waiver mechanism and
-//!   stale-waiver detection.
-//!
-//! Run as `cargo run -p xtask -- tidy` / `-- deepcheck`; both support
-//! `--self-test` fixture corpora proving every rule can fire.
+//! Run as `cargo run -p xtask -- deepcheck`; `--self-test` runs the
+//! fixture corpus proving every rule can fire.
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
@@ -24,4 +21,3 @@ pub mod deepcheck;
 pub mod files;
 pub mod lexer;
 pub mod syntax;
-pub mod tidy;

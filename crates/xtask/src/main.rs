@@ -1,58 +1,37 @@
-//! The `xtask` binary: dispatches to the in-tree lints.
+//! The `xtask` binary: runs the in-tree analyzer.
 //!
 //! ```text
-//! cargo run -p xtask -- tidy                   # token-level line lint
-//! cargo run -p xtask -- tidy --self-test       # prove every tidy rule fires
-//! cargo run -p xtask -- tidy --list            # list tidy rules
-//! cargo run -p xtask -- deepcheck              # call-graph analyses
+//! cargo run -p xtask -- deepcheck              # every rule, human-readable
 //! cargo run -p xtask -- deepcheck --json       # machine-readable report
-//! cargo run -p xtask -- deepcheck --self-test  # prove every analysis fires
+//! cargo run -p xtask -- deepcheck --self-test  # prove every rule fires
 //! ```
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-use xtask::{deepcheck, tidy};
+use xtask::deepcheck;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("tidy") => match args.get(1).map(String::as_str) {
-            None => tidy::run(),
-            Some("--self-test") => tidy::self_test(),
-            Some("--list") => tidy::list(),
-            Some(other) => {
-                eprintln!("xtask tidy: unknown flag `{other}` (try --self-test or --list)");
-                ExitCode::FAILURE
-            }
-        },
-        Some("deepcheck") => {
-            let mut json = false;
-            let mut self_test = false;
-            for flag in &args[1..] {
-                match flag.as_str() {
-                    "--json" => json = true,
-                    "--self-test" => self_test = true,
-                    other => {
-                        eprintln!(
-                            "xtask deepcheck: unknown flag `{other}` (try --json or --self-test)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            if self_test {
-                deepcheck::self_test()
-            } else {
-                deepcheck::run(json)
+    if args.first().map(String::as_str) != Some("deepcheck") {
+        eprintln!("usage: cargo run -p xtask -- deepcheck [--json] [--self-test]");
+        return ExitCode::FAILURE;
+    }
+    let mut json = false;
+    let mut self_test = false;
+    for flag in &args[1..] {
+        match flag.as_str() {
+            "--json" => json = true,
+            "--self-test" => self_test = true,
+            other => {
+                eprintln!("xtask deepcheck: unknown flag `{other}` (try --json or --self-test)");
+                return ExitCode::FAILURE;
             }
         }
-        _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- tidy [--self-test | --list]\n       \
-                 cargo run -p xtask -- deepcheck [--json] [--self-test]"
-            );
-            ExitCode::FAILURE
-        }
+    }
+    if self_test {
+        deepcheck::self_test()
+    } else {
+        deepcheck::run(json)
     }
 }

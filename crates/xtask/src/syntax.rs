@@ -58,87 +58,72 @@ impl FnDef {
 
 /// Extracts every function from one file's source.
 pub fn parse_file(crate_name: &str, file: &str, src: &str) -> Vec<FnDef> {
-    let toks = lex(src);
+    parse_tokens(crate_name, file, &lex(src)).0
+}
+
+/// Extracts every function from a lexed file, plus a per-token test mask:
+/// `true` for tokens inside `#[cfg(test)]` / `#[test]` items, the same
+/// test-ness the functions carry.
+pub fn parse_tokens(crate_name: &str, file: &str, toks: &[Tok]) -> (Vec<FnDef>, Vec<bool>) {
     let mut out = Vec::new();
+    let mut test = vec![false; toks.len()];
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false; // attribute seen since the last item
     let mut i = 0usize;
 
     while i < toks.len() {
         let t = &toks[i];
-        if t.is_punct('#') && toks.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            let (end, has_test) = scan_attribute(&toks, i + 1);
+        let is_test = in_test(&scopes) || pending_test;
+        let keyword = (t.kind == TokKind::Ident).then_some(t.text.as_str());
+        let next = if t.is_punct('#') && toks.get(i + 1).is_some_and(|n| n.is_punct('[')) {
+            let (end, has_test) = scan_attribute(toks, i + 1);
             pending_test |= has_test;
-            i = end;
-            continue;
-        }
-        if t.is_punct('{') {
+            end
+        } else if t.is_punct('{') {
             scopes.push(Scope {
                 kind: ScopeKind::Other,
-                cfg_test: in_test(&scopes) || pending_test,
+                cfg_test: is_test,
             });
             pending_test = false;
-            i += 1;
-            continue;
-        }
-        if t.is_punct('}') {
+            i + 1
+        } else if t.is_punct('}') {
             scopes.pop();
-            i += 1;
-            continue;
-        }
-        if t.is_punct(';') {
+            i + 1
+        } else if t.is_punct(';') {
             pending_test = false;
-            i += 1;
-            continue;
-        }
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "impl" => {
-                    let (next, scope) =
-                        scan_impl_header(&toks, i, in_test(&scopes) || pending_test);
-                    scopes.push(scope);
-                    pending_test = false;
-                    i = next;
-                    continue;
-                }
-                "trait" => {
-                    let name = toks
-                        .get(i + 1)
-                        .filter(|n| n.kind == TokKind::Ident)
-                        .map(|n| n.text.clone());
-                    let j = seek_punct(&toks, i + 1, '{');
-                    scopes.push(Scope {
-                        kind: ScopeKind::Trait {
-                            name: name.unwrap_or_default(),
-                        },
-                        cfg_test: in_test(&scopes) || pending_test,
-                    });
-                    pending_test = false;
-                    i = j + 1;
-                    continue;
-                }
-                "fn" => {
-                    let (next, def) = scan_fn(
-                        &toks,
-                        i,
-                        crate_name,
-                        file,
-                        &scopes,
-                        in_test(&scopes) || pending_test,
-                    );
-                    if let Some(def) = def {
-                        out.push(def);
-                    }
-                    pending_test = false;
-                    i = next;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        i += 1;
+            i + 1
+        } else if keyword == Some("impl") {
+            let (next, scope) = scan_impl_header(toks, i, is_test);
+            scopes.push(scope);
+            pending_test = false;
+            next
+        } else if keyword == Some("trait") {
+            let name = toks
+                .get(i + 1)
+                .filter(|n| n.kind == TokKind::Ident)
+                .map(|n| n.text.clone());
+            let j = seek_punct(toks, i + 1, '{');
+            scopes.push(Scope {
+                kind: ScopeKind::Trait {
+                    name: name.unwrap_or_default(),
+                },
+                cfg_test: is_test,
+            });
+            pending_test = false;
+            j + 1
+        } else if keyword == Some("fn") {
+            let (next, def) = scan_fn(toks, i, crate_name, file, &scopes, is_test);
+            out.extend(def);
+            pending_test = false;
+            next
+        } else {
+            i + 1
+        };
+        let next = next.min(toks.len());
+        test[i..next].fill(is_test);
+        i = next;
     }
-    out
+    (out, test)
 }
 
 #[derive(Debug)]

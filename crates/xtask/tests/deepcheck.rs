@@ -10,7 +10,7 @@ fn run(files: &[(&str, &str, &str)], cfg: Config) -> Report {
     let units: Vec<SourceUnit> = files
         .iter()
         .map(|(krate, file, src)| SourceUnit {
-            crate_name: (*krate).to_owned(),
+            crate_name: Some((*krate).to_owned()),
             file: (*file).to_owned(),
             src: (*src).to_owned(),
         })
@@ -25,7 +25,7 @@ fn strings(cfg_fields: &[&str]) -> Vec<String> {
 #[test]
 fn the_deadlock_fixture_is_flagged_with_both_order_edges() {
     let report = run(
-        &[("app", "crates/app/src/lib.rs", DEADLOCK_FIXTURE)],
+        &[("app", "crates/app/src/app.rs", DEADLOCK_FIXTURE)],
         Config {
             panic_roots: Vec::new(),
             alloc_roots: Vec::new(),
@@ -47,7 +47,7 @@ fn a_reachable_unwrap_in_a_request_path_reports_the_full_chain() {
     let report = run(
         &[(
             "app",
-            "crates/app/src/lib.rs",
+            "crates/app/src/app.rs",
             r#"
 pub fn handle() -> u32 { route() }
 fn route() -> u32 { lookup().unwrap() }
@@ -80,7 +80,7 @@ pub fn handle() -> u32 {
 fn lookup() -> Option<u32> { Some(1) }
 "#;
     let report = run(
-        &[("app", "crates/app/src/lib.rs", src_waived)],
+        &[("app", "crates/app/src/app.rs", src_waived)],
         Config {
             panic_roots: strings(&["app::handle"]),
             alloc_roots: Vec::new(),
@@ -99,7 +99,7 @@ pub fn handle() -> u32 {
 }
 "#;
     let report = run(
-        &[("app", "crates/app/src/lib.rs", src_stale)],
+        &[("app", "crates/app/src/app.rs", src_stale)],
         Config {
             panic_roots: strings(&["app::handle"]),
             alloc_roots: Vec::new(),
@@ -116,7 +116,7 @@ fn hot_path_allocations_are_flagged_and_cold_paths_are_not() {
     let report = run(
         &[(
             "app",
-            "crates/app/src/lib.rs",
+            "crates/app/src/app.rs",
             r#"
 pub fn hot(n: u32) -> usize { render(n) }
 fn render(n: u32) -> usize { format!("{n}").len() }
@@ -139,7 +139,7 @@ pub fn cold() -> String { String::from("fine here") }
 #[test]
 fn a_root_that_matches_nothing_is_config_drift() {
     let report = run(
-        &[("app", "crates/app/src/lib.rs", "pub fn handle() {}\n")],
+        &[("app", "crates/app/src/app.rs", "pub fn handle() {}\n")],
         Config {
             panic_roots: strings(&["app::renamed_handle"]),
             alloc_roots: Vec::new(),

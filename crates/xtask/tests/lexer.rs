@@ -119,6 +119,15 @@ fn line_numbers_survive_multiline_literals() {
 }
 
 #[test]
+fn line_numbers_count_string_continuations() {
+    // A `\`-newline inside a string skips the next line's indentation but
+    // is still a line break: every later token keeps its real line.
+    let toks = lex("let a = \"one \\\n    two\";\nfn g() {}");
+    let g = toks.iter().find(|t| t.is_ident("g")).expect("fn g lexed");
+    assert_eq!(g.line, 3);
+}
+
+#[test]
 fn unterminated_literals_degrade_without_panicking() {
     // The lexer must tolerate broken input (it runs over arbitrary trees).
     let toks = lex("let s = \"never closed");
