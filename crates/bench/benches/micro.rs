@@ -43,24 +43,12 @@ fn bench_clustering_evaluate(c: &mut Criterion) {
 
 fn bench_clustering_optimize(c: &mut Criterion) {
     // The whole clustering search: lattice sweep, c_{n1} balance and
-    // refinement. The warm run is seeded from the e = 0.25 optimum, the
-    // way solve-fleet hands hints along an ascending-e chain.
+    // refinement.
     let pmf = weibull_pmf();
     let consumption = ConsumptionModel::paper_defaults();
     let optimizer = ClusteringOptimizer::new(EnergyBudget::per_slot(0.3));
     c.bench_function("clustering_optimize_weibull_cold", |b| {
         b.iter(|| optimizer.optimize(&pmf, &consumption).unwrap())
-    });
-    let (seed, _) = ClusteringOptimizer::new(EnergyBudget::per_slot(0.25))
-        .optimize(&pmf, &consumption)
-        .unwrap();
-    let hint = Some((seed.n1(), seed.n2(), seed.n3()));
-    c.bench_function("clustering_optimize_weibull_warm", |b| {
-        b.iter(|| {
-            optimizer
-                .optimize_counted_with_hint(&pmf, &consumption, hint)
-                .unwrap()
-        })
     });
 }
 

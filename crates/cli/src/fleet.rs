@@ -3,12 +3,11 @@
 //!
 //! `solve-fleet` expands a cartesian scenario matrix (distributions × e
 //! rates × policy families), groups it by `(dist, policy)`, and solves
-//! each group in ascending-`e` order so every clustering solve can
-//! warm-start from its predecessor's `(n1, n2, n3)` optimum — the
-//! screened sweep `evcap_spec::solve_with_hint` certifies as
-//! bit-identical to a cold solve. Groups fan out across threads through
-//! `evcap_sim::parallel`; the store itself is only touched from this
-//! thread (appends are cheap, solves are not).
+//! each group in ascending-`e` order. Every solve is a plain
+//! `evcap_spec::solve`, so a scenario's result, `iterations` included,
+//! does not depend on what else the matrix or the store holds. Groups fan
+//! out across threads through `evcap_sim::parallel`; the store itself is
+//! only touched from this thread (appends are cheap, solves are not).
 
 use std::error::Error;
 use std::path::Path;
@@ -25,13 +24,6 @@ type CmdResult = Result<(), Box<dyn Error>>;
 fn open_store(args: &Args) -> Result<Store, Box<dyn Error>> {
     let dir = args.require("store")?;
     Store::open(Path::new(dir)).map_err(|e| format!("cannot open store `{dir}`: {e}").into())
-}
-
-/// One `(dist, policy)` group: scenarios in ascending-`e` order plus the
-/// best warm hint the store already held for the group's first member.
-struct FleetJob {
-    scenarios: Vec<spec::Scenario>,
-    hint: Option<(usize, usize, usize)>,
 }
 
 /// `evcap solve-fleet`
@@ -82,8 +74,7 @@ pub fn solve_fleet(args: &Args) -> CmdResult {
         })?;
         e_list.push(e);
     }
-    // Ascending order is what makes the warm-start chain meaningful: each
-    // solve seeds the next-larger budget in its group.
+    // Ascending order fixes the order results are appended and printed in.
     e_list.sort_by(f64::total_cmp);
     e_list.dedup();
     let mut policies: Vec<spec::PolicySpec> = Vec::new();
@@ -100,7 +91,8 @@ pub fn solve_fleet(args: &Args) -> CmdResult {
     }
 
     let mut store = open_store(args)?;
-    let mut jobs: Vec<FleetJob> = Vec::new();
+    // One job per `(dist, policy)` group: its scenarios in ascending `e`.
+    let mut jobs: Vec<Vec<spec::Scenario>> = Vec::new();
     let mut skipped = 0usize;
     for dist in &dists {
         for policy in &policies {
@@ -117,56 +109,39 @@ pub fn solve_fleet(args: &Args) -> CmdResult {
                     scenarios.push(scenario);
                 }
             }
-            let Some(first) = scenarios.first() else {
-                continue;
-            };
-            // Seed the group from the nearest stored neighbor (if any);
-            // inside the group the chain then feeds itself.
-            let hint = store.warm_hint(first);
-            jobs.push(FleetJob { scenarios, hint });
+            if !scenarios.is_empty() {
+                jobs.push(scenarios);
+            }
         }
     }
-    let planned: usize = jobs.iter().map(|j| j.scenarios.len()).sum();
+    let planned: usize = jobs.iter().map(Vec::len).sum();
     if planned == 0 {
         println!("fleet        : nothing to solve ({skipped} scenarios already stored)");
         return Ok(());
     }
 
-    let results: Vec<Vec<Result<(spec::SolvedPolicy, bool), String>>> =
-        parallel_map_with(jobs, (threads > 0).then_some(threads), |job| {
-            let mut hint = job.hint;
-            let mut out = Vec::with_capacity(job.scenarios.len());
-            for scenario in &job.scenarios {
-                let warm =
-                    hint.is_some() && matches!(scenario.policy(), spec::PolicySpec::Clustering);
-                match spec::solve_with_hint(scenario, hint) {
-                    Ok(solved) => {
-                        if let spec::PolicyParams::Clustering { n1, n2, n3, .. } = &solved.params {
-                            hint = Some((*n1, *n2, *n3));
-                        }
-                        out.push(Ok((solved, warm)));
-                    }
-                    Err(e) => out.push(Err(format!("{}: {e}", scenario.canonical_key()))),
-                }
-            }
-            out
+    let results: Vec<Vec<Result<spec::SolvedPolicy, String>>> =
+        parallel_map_with(jobs, (threads > 0).then_some(threads), |scenarios| {
+            scenarios
+                .iter()
+                .map(|scenario| {
+                    spec::solve(scenario).map_err(|e| format!("{}: {e}", scenario.canonical_key()))
+                })
+                .collect()
         });
 
     let mut appended = 0usize;
-    let mut warm_solves = 0usize;
     let mut failures: Vec<String> = Vec::new();
     for outcome in results.into_iter().flatten() {
         match outcome {
-            Ok((solved, warm)) => {
+            Ok(solved) => {
                 store.append(&solved)?;
                 appended += 1;
-                warm_solves += usize::from(warm);
                 if verbosity != crate::args::Verbosity::Quiet {
                     println!(
-                        "  solved {:<60} {} iterations{}",
+                        "  solved {:<60} {} iterations",
                         solved.scenario.canonical_key(),
                         solved.meta.iterations,
-                        if warm { "  (warm)" } else { "" }
                     );
                 }
             }
@@ -174,7 +149,7 @@ pub fn solve_fleet(args: &Args) -> CmdResult {
         }
     }
     println!(
-        "fleet        : {appended} solved ({warm_solves} warm-started), {skipped} already stored, {} failed",
+        "fleet        : {appended} solved, {skipped} already stored, {} failed",
         failures.len()
     );
     println!(

@@ -392,8 +392,10 @@ impl<'a> ChainEval<'a> {
 
     /// Closes the walk: whatever survival remains is captured per slot
     /// with probability ≈ the last observed `c·β̂` (a geometric
-    /// continuation).
+    /// continuation). Only a walk that has stopped is finished: a settled
+    /// one must be resumed to its end first.
     pub(crate) fn finish(&self) -> Walk {
+        debug_assert!(!self.live(), "finishing a walk that has not stopped");
         let residual = self.survival;
         let (mut cycle, mut cycle2, mut energy) = (self.cycle, self.cycle2, self.energy);
         if residual > 0.0 {
@@ -439,24 +441,101 @@ impl<'a> ChainEval<'a> {
         }
     }
 
-    /// Resumes from `prefix` and recovers to the end.
-    fn recover_from(&mut self, prefix: &Self) -> Walk {
-        self.clone_from(prefix);
-        self.recover();
-        self.finish()
+    /// Whether the walk's verdict is already certain, before its end:
+    ///
+    /// * [`Settled::Dominated`] once `μ / cycle ≤ bar`. `cycle` is a sum
+    ///   of non-negative terms and [`ChainEval::finish`] only adds to it,
+    ///   so the finished capture probability cannot exceed `bar`; valid at
+    ///   any slot.
+    /// * [`Settled::Overspent`] once `energy > budget·cycle` with
+    ///   `δ1 > budget`. Valid only when every remaining slot is active
+    ///   (`c = 1`), which the caller vouches for by passing a finite
+    ///   `budget`: each later slot, and the geometric continuation, adds at
+    ///   least `δ1` of energy per unit of `cycle`, so the finished
+    ///   discharge rate stays above `budget`.
+    ///
+    /// `bar = -∞` and `budget = +∞` switch the exits off.
+    fn settled(&self, bar: f64, budget: f64) -> Option<Settled> {
+        if self.mean / self.cycle <= bar {
+            Some(Settled::Dominated)
+        } else if self.d1 > budget && self.energy > budget * self.cycle {
+            Some(Settled::Overspent)
+        } else {
+            None
+        }
     }
 
-    /// Walks the clustering policy `(n1, n2, n3)` with `c_{n1} = c` (and
-    /// `c_{n2} = c_{n3} = 1`) from `cool`, the all-cooling prefix through
-    /// slot `n1 − 1`.
-    fn variant_from(&mut self, cool: &Self, c: f64, (_, n2, n3): Lattice) -> Walk {
-        self.clone_from(cool);
-        self.advance(c);
-        self.advance_through(n2, 1.0);
-        self.advance_through(n3 - 1, 0.0);
-        self.recover();
-        self.finish()
+    /// Walks the clustering variant `(n1, n2, n3)` with `c_{n1} = c` (and
+    /// `c_{n2} = c_{n3} = 1`) on from where this walk stands: slot `n1`, or
+    /// a later slot of the same variant's path. Returns the finished walk,
+    /// or why it stopped early under `exits`; a settled walk resumes bit
+    /// for bit when called again.
+    fn walk_variant(
+        &mut self,
+        c: f64,
+        (n1, n2, n3): Lattice,
+        exits: Exits,
+    ) -> std::result::Result<Walk, Settled> {
+        while self.live() {
+            let i = self.dp.next_slot();
+            // From here on every slot is active: the overspent exit holds.
+            let recovering = i > n1 && i >= n3;
+            let budget = if recovering {
+                exits.budget
+            } else {
+                f64::INFINITY
+            };
+            if let Some(why) = self.settled(exits.bar, budget) {
+                return Err(why);
+            }
+            let ci = if i == n1 {
+                c
+            } else if i <= n2 || recovering {
+                1.0
+            } else {
+                0.0
+            };
+            self.slot(ci);
+        }
+        Ok(self.finish())
     }
+
+    /// Walks the clustering variant `(n1, n2, n3)` with `c_{n1} = c` to its
+    /// end from `from`, a checkpoint on its path (the all-cooling prefix
+    /// through slot `n1 − 1`, or a later prefix of the same variant).
+    fn variant_from(&mut self, from: &Self, c: f64, lattice: Lattice) -> Walk {
+        self.clone_from(from);
+        // Without exits the walk runs to its end.
+        let walk = self.walk_variant(c, lattice, Exits::NONE);
+        walk.unwrap_or_else(|_| self.finish())
+    }
+}
+
+/// Why a walk stopped before its end (see [`ChainEval::settled`]).
+#[derive(Debug, Clone, Copy)]
+enum Settled {
+    /// Its capture probability cannot clear the dominance bar.
+    Dominated,
+    /// Its discharge rate cannot fall back within the budget.
+    Overspent,
+}
+
+/// The early exits a candidate's walks may take (see
+/// [`ChainEval::settled`]).
+#[derive(Debug, Clone, Copy)]
+struct Exits {
+    /// Dominance bar on `μ / cycle`; `-∞` switches the exit off.
+    bar: f64,
+    /// Budget (with margin) for the overspent exit; `+∞` switches it off.
+    budget: f64,
+}
+
+impl Exits {
+    /// Every walk runs to its end.
+    const NONE: Exits = Exits {
+        bar: f64::NEG_INFINITY,
+        budget: f64::INFINITY,
+    };
 }
 
 impl ClusteringPolicy {
@@ -480,12 +559,6 @@ impl ClusteringPolicy {
         evaluate_partial_info_moments(pmf, |i| self.coefficient(i), consumption, opts)
     }
 }
-
-/// Slack subtracted from a warm hint's priced value to form the screening
-/// threshold: wide enough that the cold grid optimum clears it whenever
-/// the hint comes from a genuinely neighboring scenario, which keeps the
-/// certified fast path the common case.
-const WARM_SLACK: f64 = 0.05;
 
 /// Searches clustering-region boundaries for the best energy-balanced policy,
 /// following the paper's bounded enumeration ("increase n3 gradually and
@@ -585,7 +658,9 @@ impl ClusteringOptimizer {
 
     /// Like [`ClusteringOptimizer::optimize`], additionally reporting how
     /// many `(n1, n2, n3)` candidates the search evaluated — the number the
-    /// scenario layer records as solve iterations.
+    /// scenario layer records as solve iterations. A candidate whose walks
+    /// stop once its verdict is certain counts like any other, so the count
+    /// depends on the scenario alone.
     ///
     /// # Errors
     ///
@@ -594,37 +669,6 @@ impl ClusteringOptimizer {
         &self,
         pmf: &SlotPmf,
         consumption: &ConsumptionModel,
-    ) -> Result<(ClusteringPolicy, ClusterEvaluation, u64)> {
-        self.optimize_counted_with_hint(pmf, consumption, None)
-    }
-
-    /// Like [`ClusteringOptimizer::optimize_counted`], optionally seeded
-    /// with the region boundaries of a previously solved *neighboring*
-    /// scenario (same distribution family, nearby budget).
-    ///
-    /// The warm pass prices the hint on this scenario, then walks the cold
-    /// search's lattice **in the cold order with the cold accept rule**,
-    /// skipping the `c_{n1}` budget balance for every candidate whose
-    /// upper bound (the fully-open variant, pointwise at least any
-    /// budget-balanced variant) cannot come within a fixed slack of the
-    /// hint's value. Skipped candidates provably cannot be the cold
-    /// sweep's final grid optimum, so when the surviving best clears the
-    /// threshold the warm search returns the cold policy **bit for bit**
-    /// while pricing fewer candidates (every lattice point still pays for
-    /// its fully-open walk, the screen's upper bound). Whenever that cannot be
-    /// certified — the hint violates the search bounds, prices as
-    /// infeasible, or out-values the entire surviving lattice — the search
-    /// falls back to the full cold enumeration. Successful warm passes
-    /// bump the `clustering.warm_hits` observability counter.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ClusteringOptimizer::optimize`].
-    pub fn optimize_counted_with_hint(
-        &self,
-        pmf: &SlotPmf,
-        consumption: &ConsumptionModel,
-        hint: Option<(usize, usize, usize)>,
     ) -> Result<(ClusteringPolicy, ClusterEvaluation, u64)> {
         if self.budget.rate() <= 0.0 {
             return Err(PolicyError::BudgetTooSmall { budget: 0.0 });
@@ -645,14 +689,6 @@ impl ClusteringOptimizer {
         let mut walker = Walker::new(&table, pmf.mean(), consumption, self.eval);
         let mut candidates = 0u64;
         for _ in 0..8 {
-            if let Some(h) = hint {
-                if let Some((policy, eval)) =
-                    self.search_warm(&mut walker, lo, hi, h, &mut candidates)
-                {
-                    evcap_obs::timing::add_count("clustering.warm_hits", 1);
-                    return Ok((policy, eval, candidates));
-                }
-            }
             if let Some((policy, eval)) = self.search(&mut walker, lo, hi, &mut candidates) {
                 return Ok((policy, eval, candidates));
             }
@@ -676,152 +712,49 @@ impl ClusteringOptimizer {
         let _span = evcap_obs::timing::span("clustering.search");
         let step = ((hi - lo) / self.grid_points).max(1);
         let mut best: Option<Ranked> = None;
-        self.sweep(walker, lo, hi, step, None, &mut best, candidates);
-        self.refine(walker, lo, hi, step, &mut best, candidates);
-        best.map(|r| (r.policy, r.eval))
-    }
-
-    /// The warm-hinted counterpart of [`ClusteringOptimizer::search`]: the
-    /// same lattice, enumerated in the same order with the same accept
-    /// rule, except that candidates whose upper bound cannot reach the
-    /// hint-derived threshold are screened out before the budget balance.
-    /// Returns `None` when the screened sweep's verdict cannot be
-    /// certified as the cold sweep's (see
-    /// [`ClusteringOptimizer::optimize_counted_with_hint`]), which sends
-    /// the caller to the full enumeration.
-    fn search_warm(
-        &self,
-        walker: &mut Walker<'_>,
-        lo: usize,
-        hi: usize,
-        hint: Lattice,
-        candidates: &mut u64,
-    ) -> Option<(ClusteringPolicy, ClusterEvaluation)> {
-        if self.objective != Objective::Qom {
-            // The screening bound below certifies *capture probabilities*
-            // (the fully-open variant dominates every balanced variant),
-            // which only orders candidates under QoM. Age objectives take
-            // the cold sweep.
-            return None;
-        }
-        let (h1, h2, h3) = hint;
-        if h1 < lo.max(1) || h1 > h2 || h2 > h3 || h3 > hi {
-            return None; // the hint violates this search's bounds
-        }
-        let _span = evcap_obs::timing::span("clustering.search");
-        let step = ((hi - lo) / self.grid_points).max(1);
-
-        // Price the hint on *this* scenario (budget-balanced like any other
-        // candidate). Its result stays out of `best`: the hint is generally
-        // off-lattice, and the equivalence argument below needs `best` to
-        // see exactly the candidates the cold sweep would accept.
-        let mut priced: Option<Ranked> = None;
-        self.consider(walker, hint, &mut priced, candidates);
-        let hint_eval = priced?.eval;
-        let threshold = hint_eval.capture_probability - WARM_SLACK;
-        if threshold <= 0.0 {
-            return None; // the hint prunes nothing; run the cold sweep
-        }
-
-        // Cold lattice, cold order, cold accept rule — but a candidate is
-        // only *considered* (feasibility + c_n1 balance) if the capture
-        // probability of its fully-open variant, which bounds every
-        // budget-balanced variant from above, clears the threshold. A
-        // screened-out candidate therefore has value ≤ threshold, so if
-        // the surviving best ends up strictly above the threshold, no
-        // skipped candidate could have been the cold sweep's grid optimum
-        // (nor perturbed the accept chain that selects it), and the
-        // identical refinement below reproduces the cold policy bit for
-        // bit.
-        let mut best: Option<Ranked> = None;
-        self.sweep(walker, lo, hi, step, Some(threshold), &mut best, candidates);
-
-        let grid_value = best.as_ref().map(|r| r.eval.capture_probability)?;
-        if grid_value < threshold + 2e-9 {
-            // Too close to the screening threshold to certify that the
-            // pruned sweep and the cold sweep agree on the grid optimum.
-            return None;
-        }
+        self.sweep(walker, lo, hi, step, &mut best, candidates);
         self.refine(walker, lo, hi, step, &mut best, candidates);
         best.map(|r| (r.policy, r.eval))
     }
 
     /// The coarse lattice `n1 ≤ n2 ≤ n3` over `[lo, hi]` with stride
-    /// `step`, shared by the cold and warm searches.
+    /// `step`.
     ///
     /// Candidates agree on long chain prefixes, so the walker extends them
     /// instead of re-walking: the all-cooling prefix once per `n1`, the
     /// fully-open and closed (`c_{n1} = 0`) hot prefixes once per
     /// `(n1, n2)`, and their second cooling region once per `n3`. Each
     /// candidate then walks only its own recovery tail (plus the
-    /// `c_{n1}` balance walks when it overspends).
-    ///
-    /// With a `screen` threshold (the warm search), a candidate is only
-    /// considered if its fully-open capture probability clears it, and a
-    /// whole `n1` subtree is skipped unless the everything-from-`n1`-on
-    /// bound does, which dominates every `(n2, n3)` choice.
-    #[allow(clippy::too_many_arguments)]
+    /// `c_{n1}` balance walks when it overspends), and
+    /// [`ClusteringOptimizer::price`] stops that tail as soon as its
+    /// verdict is certain.
     fn sweep(
         &self,
         w: &mut Walker<'_>,
         lo: usize,
         hi: usize,
         step: usize,
-        screen: Option<f64>,
         best: &mut Option<Ranked>,
         candidates: &mut u64,
     ) {
         let mut n1 = lo.max(1);
         while n1 <= hi {
             w.cool_to(n1);
-            let Walker {
-                cool,
-                hot_full,
-                hot_closed,
-                cool2_full,
-                cool2_closed,
-                tail,
-                probe,
-                ..
-            } = &mut *w;
-            let subtree_open = screen.is_none_or(|threshold| {
-                evcap_obs::timing::add_count("clustering.screened", 1);
-                tail.recover_from(cool).eval.capture_probability > threshold
-            });
-            if !subtree_open {
-                n1 += step;
-                continue;
-            }
-            hot_full.clone_from(cool);
-            hot_full.advance(1.0);
-            hot_closed.clone_from(cool);
-            hot_closed.advance(0.0);
+            w.hot_full.clone_from(&w.cool);
+            w.hot_full.advance(1.0);
+            w.hot_closed.clone_from(&w.cool);
+            w.hot_closed.advance(0.0);
             let mut n2 = n1;
             while n2 <= hi {
-                hot_full.advance_through(n2, 1.0);
-                hot_closed.advance_through(n2, 1.0);
-                cool2_full.clone_from(hot_full);
-                cool2_closed.clone_from(hot_closed);
+                w.hot_full.advance_through(n2, 1.0);
+                w.hot_closed.advance_through(n2, 1.0);
+                w.cool2_full.clone_from(&w.hot_full);
+                w.cool2_closed.clone_from(&w.hot_closed);
                 let mut n3 = n2;
                 while n3 <= hi {
-                    cool2_full.advance_through(n3 - 1, 0.0);
-                    cool2_closed.advance_through(n3 - 1, 0.0);
-                    let full = tail.recover_from(cool2_full);
-                    let open = screen.is_none_or(|threshold| {
-                        evcap_obs::timing::add_count("clustering.screened", 1);
-                        full.eval.capture_probability > threshold
-                    });
-                    if open {
-                        let lattice = (n1, n2, n3);
-                        self.consider_priced(
-                            lattice,
-                            full,
-                            || tail.recover_from(cool2_closed),
-                            |c| probe.variant_from(cool, c, lattice),
-                            best,
-                            candidates,
-                        );
-                    }
+                    w.cool2_full.advance_through(n3 - 1, 0.0);
+                    w.cool2_closed.advance_through(n3 - 1, 0.0);
+                    self.price(w, (n1, n2, n3), Checkpoint::Cool2, best, candidates);
                     n3 += step;
                 }
                 n2 += step;
@@ -830,9 +763,8 @@ impl ClusteringOptimizer {
         }
     }
 
-    /// Local refinement shared by the cold and warm searches: coordinate
-    /// descent with shrinking step, seeded from (and folding back into)
-    /// `best`.
+    /// Local refinement: coordinate descent with shrinking step, seeded
+    /// from (and folding back into) `best`.
     fn refine(
         &self,
         walker: &mut Walker<'_>,
@@ -879,8 +811,8 @@ impl ClusteringOptimizer {
         }
     }
 
-    /// Prices the `(n1, n2, n3)` candidate off the lattice (refinement and
-    /// warm hints) and folds it into `best`.
+    /// Prices the `(n1, n2, n3)` candidate off the lattice (refinement) and
+    /// folds it into `best`.
     fn consider(
         &self,
         w: &mut Walker<'_>,
@@ -893,54 +825,115 @@ impl ClusteringOptimizer {
             return;
         }
         w.cool_to(n1);
-        let Walker {
-            cool, tail, probe, ..
-        } = &mut *w;
-        let full = probe.variant_from(cool, 1.0, lattice);
-        self.consider_priced(
-            lattice,
-            full,
-            || tail.variant_from(cool, 0.0, lattice),
-            |c| probe.variant_from(cool, c, lattice),
-            best,
-            candidates,
-        );
+        self.price(w, lattice, Checkpoint::Cool, best, candidates);
+    }
+
+    /// The exits a candidate's walks may take: none until the search holds
+    /// an incumbent (before that, even `finish`'s never-captures outcome —
+    /// capture 0 at discharge 0 — could be accepted). Then the overspent
+    /// exit at the budget plus a `1e-9` relative margin, which covers the
+    /// rounding of up to `max_slots` more non-negative additions; and,
+    /// under QoM only (the age scores are not monotone in the capture
+    /// probability), the dominance bar `best + 1e-12 − 1e-9`. Its margin
+    /// covers the assumption that a budget-balanced variant never scores
+    /// above its fully-open one: they differ only in the missed-event mass
+    /// `c_{n1}` leaves in the chain, which only lengthens the cycle.
+    fn exits(&self, best: Option<&Ranked>) -> Exits {
+        let Some(best) = best else {
+            return Exits::NONE;
+        };
+        Exits {
+            bar: if self.objective == Objective::Qom {
+                best.score + 1e-12 - 1e-9
+            } else {
+                f64::NEG_INFINITY
+            },
+            budget: self.budget.rate() * (1.0 + 1e-9),
+        }
     }
 
     /// Counts the candidate, balances it against the budget, and folds it
-    /// into `best`. `full` is its fully-open walk; `closed` and `walk_at`
-    /// produce the `c_{n1} = 0` and `c_{n1} = c` walks on demand.
-    fn consider_priced(
+    /// into `best`. Its fully-open and closed (`c_{n1} = 0`) variants
+    /// resume from the walker's checkpoints `at`.
+    ///
+    /// The fully-open walk takes both exits. Dominated, the candidate
+    /// cannot be accepted. Overspent, the closed walk decides, with the
+    /// overspent exit: settled or finished over budget, no `c_{n1}` fits;
+    /// finished within budget, the fully-open walk resumes to its end,
+    /// since the balance needs its energy and `E[T]`. So every walk the
+    /// balance reads, and every walk accepted, is complete.
+    fn price(
         &self,
-        (n1, n2, n3): Lattice,
-        full: Walk,
-        closed: impl FnOnce() -> Walk,
-        walk_at: impl FnMut(f64) -> Walk,
+        w: &mut Walker<'_>,
+        lattice: Lattice,
+        at: Checkpoint,
         best: &mut Option<Ranked>,
         candidates: &mut u64,
     ) {
         *candidates += 1;
         evcap_obs::timing::add_count("clustering.candidates", 1);
-        if let Some((c_n1, walk)) = self.balanced(full, closed, walk_at) {
-            let score = self.objective.score(&walk.eval, &walk.moments);
-            let better = match best {
-                None => true,
-                Some(b) => score > b.score + 1e-12,
-            };
-            if better {
-                *best = Some(Ranked {
-                    policy: ClusteringPolicy {
-                        n1,
-                        n2,
-                        n3,
-                        c_n1,
-                        c_n2: 1.0,
-                        c_n3: 1.0,
-                    },
-                    eval: walk.eval,
-                    score,
-                });
+        let exits = self.exits(best.as_ref());
+        let Walker {
+            cool,
+            cool2_full,
+            cool2_closed,
+            tail,
+            probe,
+            ..
+        } = w;
+        let (open_from, closed_from) = match at {
+            Checkpoint::Cool => (&*cool, &*cool),
+            Checkpoint::Cool2 => (&*cool2_full, &*cool2_closed),
+        };
+        tail.clone_from(open_from);
+        let (full, closed_walk) = match tail.walk_variant(1.0, lattice, exits) {
+            Ok(full) => (full, None),
+            Err(Settled::Dominated) => {
+                evcap_obs::timing::add_count("clustering.settled_dominated", 1);
+                return;
             }
+            Err(Settled::Overspent) => {
+                evcap_obs::timing::add_count("clustering.settled_overspent", 1);
+                probe.clone_from(closed_from);
+                let overspent_only = Exits {
+                    bar: f64::NEG_INFINITY,
+                    ..exits
+                };
+                let Ok(closed) = probe.walk_variant(0.0, lattice, overspent_only) else {
+                    evcap_obs::timing::add_count("clustering.settled_overspent", 1);
+                    return; // even the narrowest variant is infeasible
+                };
+                if closed.eval.discharge_rate > self.budget.rate() {
+                    return; // `balanced` would say the same without `full`
+                }
+                let full = tail.walk_variant(1.0, lattice, Exits::NONE);
+                (full.unwrap_or_else(|_| tail.finish()), Some(closed))
+            }
+        };
+        let closed = || closed_walk.unwrap_or_else(|| tail.variant_from(closed_from, 0.0, lattice));
+        let walk_at = |c| probe.variant_from(cool, c, lattice);
+        let Some((c_n1, walk)) = self.balanced(full, closed, walk_at) else {
+            return;
+        };
+        let score = self.objective.score(&walk.eval, &walk.moments);
+        let better = match best {
+            None => true,
+            Some(b) => score > b.score + 1e-12,
+        };
+        if better {
+            let (n1, n2, n3) = lattice;
+            *best = Some(Ranked {
+                policy: ClusteringPolicy {
+                    n1,
+                    n2,
+                    n3,
+                    c_n1,
+                    c_n2: 1.0,
+                    c_n3: 1.0,
+                },
+                eval: walk.eval,
+                score,
+            });
         }
     }
 
@@ -1044,6 +1037,17 @@ impl ClusteringOptimizer {
 /// A clustering candidate's region bounds `(n1, n2, n3)`.
 type Lattice = (usize, usize, usize);
 
+/// Where a candidate's variant walks resume from.
+#[derive(Debug, Clone, Copy)]
+enum Checkpoint {
+    /// [`Walker::cool`], the all-cooling prefix through `n1 − 1`
+    /// (refinement).
+    Cool,
+    /// [`Walker::cool2_full`] and [`Walker::cool2_closed`], the fully-open
+    /// and closed prefixes through `n3 − 1` (the lattice sweep).
+    Cool2,
+}
+
 /// The reusable chains of one clustering search. Every restart copies a
 /// checkpoint into one of these with `clone_from`, so once their bucket
 /// vectors have grown, pricing a candidate allocates nothing.
@@ -1059,7 +1063,7 @@ struct Walker<'a> {
     /// The same through the second cooling region, up to `n3 − 1`.
     cool2_full: ChainEval<'a>,
     cool2_closed: ChainEval<'a>,
-    /// Scratch for recovery tails and balance walks.
+    /// Scratch for a candidate's variant walks and balance walks.
     tail: ChainEval<'a>,
     probe: ChainEval<'a>,
 }
@@ -1282,36 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_hint_reproduces_cold_policy_with_fewer_candidates() {
-        let pmf = Discretizer::new()
-            .discretize(&Weibull::new(40.0, 3.0).unwrap())
-            .unwrap();
-        // Sweep the budget; each step seeds from the previous cold optimum,
-        // the way the fleet solver hands hints between neighboring e.
-        let mut hint: Option<(usize, usize, usize)> = None;
-        for e in [0.30, 0.35, 0.4, 0.45, 0.5] {
-            let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(e));
-            let (cold, cold_eval, cold_n) = opt.optimize_counted(&pmf, &consumption()).unwrap();
-            let (warm, warm_eval, warm_n) = opt
-                .optimize_counted_with_hint(&pmf, &consumption(), hint)
-                .unwrap();
-            assert_eq!(cold, warm, "e={e}: warm policy diverged from cold");
-            assert_eq!(
-                cold_eval.capture_probability.to_bits(),
-                warm_eval.capture_probability.to_bits(),
-                "e={e}"
-            );
-            if hint.is_some() {
-                assert!(
-                    warm_n < cold_n,
-                    "e={e}: warm search did not save work ({warm_n} vs {cold_n})"
-                );
-            }
-            hint = Some((cold.n1(), cold.n2(), cold.n3()));
-        }
-    }
-
-    #[test]
     fn search_under_a_short_slot_cap_reports_a_fresh_walk() {
         // A slot cap inside the pmf's support: the search's hazard table
         // stops short of the tail, and must still reach every walk's end.
@@ -1333,23 +1307,6 @@ mod tests {
             second: 0.0,
         };
         assert_eq!(bits(&eval, &moments), bits(&fresh, &moments));
-    }
-
-    #[test]
-    fn bogus_hint_falls_back_to_the_cold_result() {
-        let pmf = Discretizer::new()
-            .discretize(&Weibull::new(40.0, 3.0).unwrap())
-            .unwrap();
-        let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(0.5));
-        let (cold, _, _) = opt.optimize_counted(&pmf, &consumption()).unwrap();
-        // A hint far from the optimum (and one violating the bounds) must
-        // still land on the cold policy via the certification fallback.
-        for bad in [(1, 1, 1), (500, 600, 700), (3, 2, 1)] {
-            let (warm, _, _) = opt
-                .optimize_counted_with_hint(&pmf, &consumption(), Some(bad))
-                .unwrap();
-            assert_eq!(cold, warm, "hint {bad:?}");
-        }
     }
 
     #[test]
@@ -1417,30 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_hint_is_declined_for_age_objectives() {
-        // The warm screen's upper bound only certifies QoM, so a hinted age
-        // solve must fall back to the cold sweep and still succeed.
-        let pmf = Discretizer::new()
-            .discretize(&Weibull::new(40.0, 3.0).unwrap())
-            .unwrap();
-        let opt =
-            ClusteringOptimizer::new(EnergyBudget::per_slot(0.4)).objective(Objective::AoiMean);
-        let (cold, cold_eval, _) = opt.optimize_counted(&pmf, &consumption()).unwrap();
-        let (warm, warm_eval, _) = opt
-            .optimize_counted_with_hint(
-                &pmf,
-                &consumption(),
-                Some((cold.n1(), cold.n2(), cold.n3())),
-            )
-            .unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(
-            cold_eval.capture_probability.to_bits(),
-            warm_eval.capture_probability.to_bits()
-        );
-    }
-
-    #[test]
     fn optimizer_rejects_zero_budget() {
         let pmf = SlotPmf::from_pmf(vec![1.0]).unwrap();
         let err = ClusteringOptimizer::new(EnergyBudget::per_slot(0.0))
@@ -1470,7 +1403,10 @@ mod tests {
         ]
     }
 
-    fn policy_bits(p: &ClusteringPolicy) -> (usize, usize, usize, u64, u64, u64) {
+    /// A policy's region bounds and boundary coefficients, as bits.
+    type PolicyBits = (usize, usize, usize, u64, u64, u64);
+
+    fn policy_bits(p: &ClusteringPolicy) -> PolicyBits {
         (
             p.n1,
             p.n2,
@@ -1517,9 +1453,29 @@ mod tests {
         Some(chosen)
     }
 
+    /// A candidate priced from scratch and ranked with the search's accept
+    /// rule.
+    fn consider_reference(
+        opt: &ClusteringOptimizer,
+        pmf: &SlotPmf,
+        consumption: &ConsumptionModel,
+        lattice: Lattice,
+        best: &mut Option<Ranked>,
+    ) {
+        if let Some((policy, eval, moments)) = balanced_reference(opt, pmf, consumption, lattice) {
+            let score = opt.objective.score(&eval, &moments);
+            if best.as_ref().is_none_or(|b| score > b.score + 1e-12) {
+                *best = Some(Ranked {
+                    policy,
+                    eval,
+                    score,
+                });
+            }
+        }
+    }
+
     /// The lattice sweep the walker replaced: the triple loop pricing every
-    /// candidate from scratch, screened like the warm search when asked.
-    #[allow(clippy::too_many_arguments)]
+    /// candidate from scratch, to its end.
     fn sweep_reference(
         opt: &ClusteringOptimizer,
         pmf: &SlotPmf,
@@ -1527,44 +1483,68 @@ mod tests {
         lo: usize,
         hi: usize,
         step: usize,
-        screen: Option<f64>,
     ) -> (Option<Ranked>, u64) {
         let mut best: Option<Ranked> = None;
         let mut candidates = 0;
-        let mut n1 = lo.max(1);
-        while n1 <= hi {
-            let open = ClusteringPolicy::new(n1, hi, hi, 1.0, 1.0, 1.0).unwrap();
-            let subtree_ub = open
-                .evaluate(pmf, consumption, opt.eval)
-                .capture_probability;
-            if screen.is_none_or(|t| subtree_ub > t) {
-                for n2 in (n1..=hi).step_by(step) {
-                    for n3 in (n2..=hi).step_by(step) {
-                        let full = ClusteringPolicy::new(n1, n2, n3, 1.0, 1.0, 1.0).unwrap();
-                        let ub = full
-                            .evaluate(pmf, consumption, opt.eval)
-                            .capture_probability;
-                        if !screen.is_none_or(|t| ub > t) {
+        for n1 in (lo.max(1)..=hi).step_by(step) {
+            for n2 in (n1..=hi).step_by(step) {
+                for n3 in (n2..=hi).step_by(step) {
+                    candidates += 1;
+                    consider_reference(opt, pmf, consumption, (n1, n2, n3), &mut best);
+                }
+            }
+        }
+        (best, candidates)
+    }
+
+    /// Refinement with every candidate priced from scratch: the same
+    /// coordinate descent as [`ClusteringOptimizer::refine`].
+    fn refine_reference(
+        opt: &ClusteringOptimizer,
+        pmf: &SlotPmf,
+        consumption: &ConsumptionModel,
+        (lo, hi, step): (usize, usize, usize),
+        best: &mut Option<Ranked>,
+    ) -> u64 {
+        let mut candidates = 0;
+        let Some(seed) = best.as_ref().map(|r| r.policy.clone()) else {
+            return 0;
+        };
+        let mut current = [seed.n1(), seed.n2(), seed.n3()];
+        let mut delta = step.max(2) / 2;
+        loop {
+            let mut improved = true;
+            while improved {
+                improved = false;
+                for dim in 0..3 {
+                    for dir in [-1i64, 1] {
+                        let mut cand = current.map(|n| n as i64);
+                        cand[dim] += dir * delta as i64;
+                        if cand[0] < lo as i64
+                            || cand[0] > cand[1]
+                            || cand[1] > cand[2]
+                            || cand[2] > hi as i64
+                            || cand[0] < 1
+                        {
                             continue;
                         }
+                        let cand = cand.map(|n| n as usize);
+                        let before = best.as_ref().map(|r| r.score);
                         candidates += 1;
-                        let priced = balanced_reference(opt, pmf, consumption, (n1, n2, n3));
-                        if let Some((policy, eval, moments)) = priced {
-                            let score = opt.objective.score(&eval, &moments);
-                            if best.as_ref().is_none_or(|b| score > b.score + 1e-12) {
-                                best = Some(Ranked {
-                                    policy,
-                                    eval,
-                                    score,
-                                });
-                            }
+                        let lattice = (cand[0], cand[1], cand[2]);
+                        consider_reference(opt, pmf, consumption, lattice, best);
+                        if best.as_ref().map(|r| r.score) > before {
+                            current = cand;
+                            improved = true;
                         }
                     }
                 }
             }
-            n1 += step;
+            if delta == 1 {
+                return candidates;
+            }
+            delta /= 2;
         }
-        (best, candidates)
     }
 
     /// Event processes for the reference properties: hazard-specified
@@ -1711,16 +1691,34 @@ mod tests {
         }
     }
 
+    /// Budgets for the search properties: mostly below `δ1 = 1`, where
+    /// the overspent exits can fire, some above it.
+    fn any_budget() -> impl Strategy<Value = f64> {
+        prop_oneof![0.05f64..0.95, 0.05f64..0.95, 0.05f64..0.95, 0.95f64..3.0]
+    }
+
+    /// A ranked candidate's every field, as bits.
+    fn ranked_bits(r: &Ranked) -> (PolicyBits, [u64; 6], u64) {
+        let no_moments = CycleMoments {
+            first: 0.0,
+            second: 0.0,
+        };
+        (
+            policy_bits(&r.policy),
+            bits(&r.eval, &no_moments),
+            r.score.to_bits(),
+        )
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn shared_prefix_sweep_matches_walks_from_scratch(
             pmf in any_pmf(),
-            e in 0.05f64..3.0,
+            e in any_budget(),
             (lo, span, step) in (1usize..12, 1usize..20, 1usize..5),
             objective in any_objective(),
-            screen in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
             max_slots in 50usize..300,
         ) {
             let hi = lo + span;
@@ -1729,8 +1727,7 @@ mod tests {
             let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(e))
                 .eval_options(opts)
                 .objective(objective);
-            let (want, want_candidates) =
-                sweep_reference(&opt, &pmf, &consumption, lo, hi, step, screen);
+            let (want, want_candidates) = sweep_reference(&opt, &pmf, &consumption, lo, hi, step);
 
             let table = HazardTable::new(&pmf, opts.max_slots);
             let mut w = dirty_walker(&table, &pmf, &consumption, opts);
@@ -1738,16 +1735,38 @@ mod tests {
             w.cool_to(lo + 3);
             let mut best = None;
             let mut candidates = 0;
-            opt.sweep(&mut w, lo, hi, step, screen, &mut best, &mut candidates);
+            opt.sweep(&mut w, lo, hi, step, &mut best, &mut candidates);
             prop_assert_eq!(candidates, want_candidates);
-            let key = |r: &Ranked| {
-                (
-                    policy_bits(&r.policy),
-                    bits(&r.eval, &CycleMoments { first: 0.0, second: 0.0 }),
-                    r.score.to_bits(),
-                )
-            };
-            prop_assert_eq!(best.as_ref().map(key), want.as_ref().map(key));
+            prop_assert_eq!(best.as_ref().map(ranked_bits), want.as_ref().map(ranked_bits));
+        }
+
+        #[test]
+        fn settled_refinement_matches_walks_from_scratch(
+            pmf in any_pmf(),
+            e in any_budget(),
+            (lo, span, step) in (1usize..12, 1usize..30, 2usize..9),
+            objective in any_objective(),
+            max_slots in 50usize..300,
+        ) {
+            let hi = lo + span;
+            let opts = EvalOptions { survival_eps: 1e-10, max_slots };
+            let consumption = consumption();
+            let opt = ClusteringOptimizer::new(EnergyBudget::per_slot(e))
+                .eval_options(opts)
+                .objective(objective);
+            // Both refinements start from the from-scratch grid optimum.
+            let (seed, _) = sweep_reference(&opt, &pmf, &consumption, lo, hi, step);
+            let mut want = seed.clone();
+            let want_candidates =
+                refine_reference(&opt, &pmf, &consumption, (lo, hi, step), &mut want);
+
+            let table = HazardTable::new(&pmf, opts.max_slots);
+            let mut w = dirty_walker(&table, &pmf, &consumption, opts);
+            let mut best = seed;
+            let mut candidates = 0;
+            opt.refine(&mut w, lo, hi, step, &mut best, &mut candidates);
+            prop_assert_eq!(candidates, want_candidates);
+            prop_assert_eq!(best.as_ref().map(ranked_bits), want.as_ref().map(ranked_bits));
         }
     }
 }

@@ -44,6 +44,18 @@ impl MyopicPolicy {
     /// is aggressive (recovery), mirroring the clustering heuristic's
     /// safeguard.
     ///
+    /// A bisection over `θ` (32 steps) finds the lowest feasible threshold.
+    /// Each step needs the walk that decides states `1..=window` at `θ` and
+    /// evaluates the result, but consecutive steps often share one: a walk
+    /// records the largest hazard it read below its threshold and the
+    /// smallest at or above it, and any `θ'` strictly above the one and at
+    /// most the other splits every hazard the walk read the same way. Such
+    /// a `θ'` makes the same decision in slot 1, hence reads the same
+    /// hazard in slot 2, and so on by induction: the same `active` vector,
+    /// the same evaluation, the same verdict. So the walk is reused, and
+    /// the bisection and its accept rule see exactly what fresh walks
+    /// would give them.
+    ///
     /// # Errors
     ///
     /// * [`PolicyError::BudgetTooSmall`] for a zero budget.
@@ -71,6 +83,10 @@ impl MyopicPolicy {
         let origin = ChainEval::new(AgeBeliefDp::new(&table), pmf.mean(), consumption, opts);
         let mut chain = origin.clone();
         let mut belief = AgeBeliefDp::new(&table);
+        // The last walk: the thresholds that split its hazards its way
+        // (`below < θ ≤ above`), and its evaluation. `active` holds its
+        // decisions.
+        let mut last: Option<(f64, f64, ClusterEvaluation)> = None;
         // Decides states 1..=window at threshold θ and evaluates the result
         // in one walk: the chain being evaluated is exactly the belief the
         // decisions read β̂ from (the hazard does not depend on the slot's
@@ -78,8 +94,15 @@ impl MyopicPolicy {
         // has converged, a copy of its belief carries on for the remaining
         // decisions.
         let mut derive_at = |theta: f64, active: &mut Vec<bool>| -> ClusterEvaluation {
+            if let Some((below, above, eval)) = last {
+                if below < theta && theta <= above {
+                    return eval;
+                }
+            }
+            evcap_obs::timing::add_count("myopic.walks", 1);
             chain.clone_from(&origin);
             active.clear();
+            let (mut below, mut above) = (f64::NEG_INFINITY, f64::INFINITY);
             let mut detached = false;
             for _ in 0..window {
                 if !detached && !chain.live() {
@@ -87,7 +110,13 @@ impl MyopicPolicy {
                     detached = true;
                 }
                 let stepping = if detached { &belief } else { chain.belief() };
-                let act = stepping.next_hazard() >= theta;
+                let hazard = stepping.next_hazard();
+                let act = hazard >= theta;
+                if act {
+                    above = above.min(hazard);
+                } else {
+                    below = below.max(hazard);
+                }
                 let c = if act { 1.0 } else { 0.0 };
                 if detached {
                     belief.step(c);
@@ -98,7 +127,9 @@ impl MyopicPolicy {
             }
             // Beyond the window the policy is aggressive recovery.
             chain.recover();
-            chain.finish().eval
+            let eval = chain.finish().eval;
+            last = Some((below, above, eval));
+            eval
         };
 
         // θ = 1+ means "never activate in the window" (recovery only);
@@ -249,9 +280,132 @@ mod tests {
     use super::*;
     use crate::clustering::ClusteringOptimizer;
     use evcap_dist::{Discretizer, SlotPmf, Weibull};
+    use proptest::prelude::*;
 
     fn consumption() -> ConsumptionModel {
         ConsumptionModel::paper_defaults()
+    }
+
+    /// The derivation [`MyopicPolicy::derive`] replaced: the same
+    /// bisection and accept rule with a fresh walk at every step. `derive`
+    /// must match it bit for bit.
+    fn derive_reference(
+        pmf: &SlotPmf,
+        budget: EnergyBudget,
+        consumption: &ConsumptionModel,
+        window: usize,
+        opts: EvalOptions,
+    ) -> MyopicPolicy {
+        let e = budget.rate();
+        let table = HazardTable::new(pmf, window.max(opts.max_slots));
+        let walk = |theta: f64| -> (Vec<bool>, ClusterEvaluation) {
+            let mut chain = ChainEval::new(AgeBeliefDp::new(&table), pmf.mean(), consumption, opts);
+            let mut belief = AgeBeliefDp::new(&table);
+            let mut active = Vec::new();
+            let mut detached = false;
+            for _ in 0..window {
+                if !detached && !chain.live() {
+                    belief = chain.belief().clone();
+                    detached = true;
+                }
+                let stepping = if detached { &belief } else { chain.belief() };
+                let act = stepping.next_hazard() >= theta;
+                let c = if act { 1.0 } else { 0.0 };
+                if detached {
+                    belief.step(c);
+                } else {
+                    chain.advance(c);
+                }
+                active.push(act);
+            }
+            chain.recover();
+            (active, chain.finish().eval)
+        };
+        let (mut lo, mut hi) = (0.0f64, 1.0 + 1e-9);
+        let mut chosen: Option<(f64, Vec<bool>, ClusterEvaluation)> = None;
+        for _ in 0..32 {
+            let mid = 0.5 * (lo + hi);
+            let (active, eval) = walk(mid);
+            if eval.discharge_rate <= e + 1e-9 {
+                let better = chosen.as_ref().is_none_or(|(_, _, b)| {
+                    eval.capture_probability > b.capture_probability - 1e-12
+                });
+                if better {
+                    chosen = Some((mid, active, eval));
+                }
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let (threshold, active, evaluation) = chosen.unwrap_or_else(|| {
+            let (active, eval) = walk(1.0 + 1e-9);
+            (1.0, active, eval)
+        });
+        MyopicPolicy {
+            active,
+            threshold,
+            evaluation,
+        }
+    }
+
+    /// Every field of a derived policy, floats as bits.
+    fn policy_bits(p: &MyopicPolicy) -> (Vec<bool>, [u64; 5]) {
+        let e = p.evaluation;
+        (
+            p.active.clone(),
+            [
+                p.threshold.to_bits(),
+                e.capture_probability.to_bits(),
+                e.discharge_rate.to_bits(),
+                e.expected_cycle.to_bits(),
+                e.truncated_survival.to_bits(),
+            ],
+        )
+    }
+
+    #[test]
+    fn walk_reuse_respects_a_hazard_equal_to_the_threshold() {
+        // β̂_1 equals the bisection's second midpoint exactly (the first
+        // step lowers θ from ~½ to ~¼), so a walk at θ ≈ ½ reads a hazard
+        // that the next θ sits right on: that θ acts where the walk did
+        // not, and must walk afresh.
+        let second_mid = 0.5 * (0.5 * (1.0 + 1e-9));
+        let pmf = SlotPmf::from_hazards(&[second_mid, 0.1]).unwrap();
+        for k in 1..=60 {
+            let budget = EnergyBudget::per_slot(0.05 * f64::from(k));
+            let opts = EvalOptions::default();
+            let got = MyopicPolicy::derive(&pmf, budget, &consumption(), 12, opts).unwrap();
+            let want = derive_reference(&pmf, budget, &consumption(), 12, opts);
+            assert_eq!(
+                policy_bits(&got),
+                policy_bits(&want),
+                "e = {}",
+                budget.rate()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn walk_reuse_matches_fresh_walks(
+            hazards in collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0], 0..40),
+            tail in 0.02f64..1.0,
+            e in prop_oneof![0.02f64..0.6, 0.02f64..0.6, 0.6f64..3.0],
+            window in 1usize..120,
+            max_slots in prop_oneof![Just(20_000usize), 20usize..400],
+        ) {
+            let mut h = hazards;
+            h.push(tail);
+            let pmf = SlotPmf::from_hazards(&h).unwrap();
+            let opts = EvalOptions { survival_eps: 1e-10, max_slots };
+            let budget = EnergyBudget::per_slot(e);
+            let got = MyopicPolicy::derive(&pmf, budget, &consumption(), window, opts).unwrap();
+            let want = derive_reference(&pmf, budget, &consumption(), window, opts);
+            prop_assert_eq!(policy_bits(&got), policy_bits(&want));
+        }
     }
 
     #[test]

@@ -541,30 +541,6 @@ fn stationary_moments(
 /// * [`SolveError::Spec`] if the distribution spec fails to parse.
 /// * [`SolveError::Unsolvable`] if the optimizer rejects the parameters.
 pub fn solve(scenario: &Scenario) -> Result<SolvedPolicy, SolveError> {
-    solve_with_hint(scenario, None)
-}
-
-/// [`solve`] with an optional warm-start hint for the clustering search.
-///
-/// `hint` is the `(n1, n2, n3)` optimum of a *neighboring* scenario (same
-/// distribution family, nearby `e`). The clustering optimizer prices the
-/// hint, then walks the whole cold lattice in the cold order behind an
-/// upper-bound screen: a candidate whose fully-open capture probability
-/// cannot come within a fixed slack of the hint's value is skipped before
-/// its budget balance. When the surviving best clears that threshold the
-/// returned policy is **bit-identical** to the cold solve and only
-/// `meta.iterations` (candidates priced) shrinks, by about a fifth on the
-/// benchmark's fleet matrices; otherwise (age objectives, a hint outside
-/// the search bounds, an infeasible or dominant hint) the solve falls back
-/// to the full cold sweep. Non-clustering families ignore the hint.
-///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_with_hint(
-    scenario: &Scenario,
-    hint: Option<(usize, usize, usize)>,
-) -> Result<SolvedPolicy, SolveError> {
     let _span = evcap_obs::timing::span("spec.solve");
     let pmf = parse_dist(scenario.dist(), scenario.horizon())?;
     let consumption = ConsumptionModel::new(
@@ -610,7 +586,7 @@ pub fn solve_with_hint(
         PolicySpec::Clustering => {
             let (p, eval, candidates) = ClusteringOptimizer::new(budget)
                 .objective(objective)
-                .optimize_counted_with_hint(&pmf, &consumption, hint)
+                .optimize_counted(&pmf, &consumption)
                 .map_err(unsolvable)?;
             let moments =
                 (!objective.is_default()).then(|| stationary_moments(&pmf, &p, &consumption));
@@ -729,6 +705,27 @@ pub fn solve_with_hint(
     #[cfg(debug_assertions)]
     debug_validate(&solved);
     Ok(solved)
+}
+
+/// [`solve`], accepting a warm-start hint that no longer changes anything.
+///
+/// `hint` was the `(n1, n2, n3)` optimum of a neighboring scenario, which
+/// an earlier clustering search used to screen its lattice. That search
+/// now stops each candidate's walk as soon as its verdict is certain, and
+/// the cold solve that leaves is faster than the screened one was (DESIGN
+/// §13). So the hint is accepted and ignored: the result, `meta.iterations`
+/// included, and the work done are exactly [`solve`]'s. The signature
+/// stays for callers that still pass one.
+///
+/// # Errors
+///
+/// Same contract as [`solve`].
+pub fn solve_with_hint(
+    scenario: &Scenario,
+    hint: Option<(usize, usize, usize)>,
+) -> Result<SolvedPolicy, SolveError> {
+    let _ = hint;
+    solve(scenario)
 }
 
 /// Reassembles a [`SolvedPolicy`] from persisted [`PolicyParams`] without
@@ -1300,32 +1297,44 @@ mod tests {
     }
 
     #[test]
-    fn warm_hint_reproduces_the_cold_clustering_solve_with_fewer_candidates() {
-        let near = Scenario::new("weibull:40,3", PolicySpec::Clustering, 0.48)
-            .unwrap()
-            .with_horizon(4_096);
-        let hint = match solve(&near).unwrap().params {
-            PolicyParams::Clustering { n1, n2, n3, .. } => (n1, n2, n3),
-            other => panic!("unexpected params {other:?}"),
+    fn hinted_solves_equal_cold_solves_in_every_field() {
+        let fields = |s: &SolvedPolicy| {
+            let m = &s.meta;
+            format!(
+                "{:?} {} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {}",
+                s.params,
+                m.label,
+                m.info,
+                m.objective.map(f64::to_bits),
+                m.objective_kind,
+                m.objective_value.map(f64::to_bits),
+                m.discharge_rate.map(f64::to_bits),
+                m.expected_cycle.map(f64::to_bits),
+                m.regions,
+                m.mean_gap.to_bits(),
+                m.iterations,
+            )
         };
-
-        let s = Scenario::new("weibull:40,3", PolicySpec::Clustering, 0.5)
-            .unwrap()
-            .with_horizon(4_096);
-        let cold = solve(&s).unwrap();
-        let warm = solve_with_hint(&s, Some(hint)).unwrap();
-        assert_eq!(cold.meta.label, warm.meta.label);
-        assert_eq!(cold.meta.regions, warm.meta.regions);
-        assert_eq!(
-            cold.meta.objective.unwrap().to_bits(),
-            warm.meta.objective.unwrap().to_bits()
-        );
-        assert!(
-            warm.meta.iterations < cold.meta.iterations,
-            "warm start should evaluate fewer candidates ({} vs {})",
-            warm.meta.iterations,
-            cold.meta.iterations
-        );
+        for objective in [Objective::Qom, Objective::AoiMean, Objective::AoiPeak] {
+            let at = |e: f64| {
+                Scenario::new("weibull:40,3", PolicySpec::Clustering, e)
+                    .unwrap()
+                    .with_horizon(4_096)
+                    .with_objective(objective)
+            };
+            let regions = |e: f64| match solve(&at(e)).unwrap().params {
+                PolicyParams::Clustering { n1, n2, n3, .. } => (n1, n2, n3),
+                other => panic!("unexpected params {other:?}"),
+            };
+            let s = at(0.5);
+            let cold = fields(&solve(&s).unwrap());
+            // A neighbor's optimum, a far one, and one outside any search
+            // bounds.
+            for hint in [regions(0.48), regions(0.12), (3, 2, 1)] {
+                let warm = solve_with_hint(&s, Some(hint)).unwrap();
+                assert_eq!(fields(&warm), cold, "{objective:?} hint {hint:?}");
+            }
+        }
     }
 
     #[test]

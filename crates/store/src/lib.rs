@@ -22,9 +22,10 @@
 //! * **No panics on hostile bytes**: every decode failure is a
 //!   [`StoreError`]; allocation sizes are bounds-checked against the
 //!   record length.
-//! * **Warm starts**: [`Store::warm_hint`] finds the stored clustering
-//!   artifact nearest a scenario (same distribution, closest recharge
-//!   rate `e`) to seed the optimizer's enumeration.
+//! * **Neighbor lookup**: [`Store::warm_hint`] finds the stored
+//!   clustering artifact nearest a scenario (same distribution, closest
+//!   recharge rate `e`). It once seeded the clustering search; the search
+//!   no longer takes hints, and the lookup stays for callers that ask.
 //!
 //! Loading always re-verifies the checksum and re-derives the policy via
 //! [`evcap_spec::rehydrate`]; this crate never constructs a policy itself.
@@ -435,13 +436,16 @@ impl Store {
 
     /// Finds the stored clustering optimum nearest to `scenario` — same
     /// canonical distribution, costs, battery, horizon, and sensor count,
-    /// closest recharge rate `e` — to seed the clustering enumeration
-    /// (see `evcap_spec::solve_with_hint`).
+    /// closest recharge rate `e`.
+    ///
+    /// This used to seed the clustering enumeration. The search no longer
+    /// takes hints: `evcap_spec::solve_with_hint` accepts one and returns
+    /// exactly what `evcap_spec::solve` does, so a hint from here changes
+    /// neither the result nor the work.
     ///
     /// Equidistant neighbors (in `f64`, 0.1 and 0.16 are equally far from
-    /// 0.13) are broken by the smaller canonical key, so the hint — and
-    /// the candidate count of the solve it seeds — never depends on the
-    /// index's hash order.
+    /// 0.13) are broken by the smaller canonical key, so the answer never
+    /// depends on the index's hash order.
     ///
     /// Returns `None` for non-clustering scenarios, when no neighbor
     /// matches, or when the nearest record cannot be decoded.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the persistent artifact store: batch-solve a scenario
-# matrix with `evcap solve-fleet` (proving warm-started clustering solves),
-# verify and inspect the store, then boot `evcap serve --store` against it
+# matrix with `evcap solve-fleet` (proving each solve depends on its
+# scenario alone, not on the rest of the matrix), verify and inspect the
+# store, then boot `evcap serve --store` against it
 # twice — the restarted server must answer a stored scenario from the disk
 # tier (store_hits on /metrics) with the same bytes as a cold solve, and a
 # corrupted record must be rejected and healed by a fresh solve.
@@ -43,7 +44,16 @@ stop_server() {
   --e-list 0.1,0.2 --policies greedy,clustering --horizon 4096 \
   > "$OUT/fleet.out"
 grep -q '8 solved' "$OUT/fleet.out" || fail "fleet did not solve the full matrix"
-grep -q '(warm)' "$OUT/fleet.out" || fail "no clustering solve warm-started"
+# Solving e = 0.2 alone into a second fresh store must print the matrix
+# run's e = 0.2 lines exactly, iteration counts included.
+"$EVCAP" solve-fleet --store "$OUT/alone" --dists 'weibull:40,3;det:7' \
+  --e-list 0.2 --policies greedy,clustering --horizon 4096 \
+  > "$OUT/alone.out"
+grep -F '|e=0.2|' "$OUT/fleet.out" > "$OUT/matrix.lines" || true
+grep -F '|e=0.2|' "$OUT/alone.out" > "$OUT/alone.lines" || true
+[ "$(wc -l < "$OUT/alone.lines")" -eq 4 ] || fail "solving e=0.2 alone did not print 4 solves"
+cmp -s "$OUT/matrix.lines" "$OUT/alone.lines" \
+  || fail "e=0.2 solved alone differs from the matrix run"
 # Capture output before grepping: `evcap | grep -q` would close the pipe
 # at the first match, and under pipefail the writer's EPIPE fails the check.
 "$EVCAP" solve-fleet --store "$STORE" --dists 'weibull:40,3;det:7' \
