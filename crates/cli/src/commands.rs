@@ -630,7 +630,8 @@ fn simulate_replicated(
 /// `evcap bench-sim`
 ///
 /// Seeds the engine's performance trajectory: measures a single run (the
-/// median of five timed runs of one seed, after an untimed warm-up run), a
+/// median of five timed runs of one seed, with the fastest and slowest,
+/// after at least half a second of untimed runs), a
 /// truly sequential replication loop (R `Simulation::run` calls with the
 /// batch's strided seeds — each rebuilding its event sampler and policy
 /// table, exactly what callers did before the batch engine), and the
@@ -687,17 +688,28 @@ pub fn bench_sim(args: &Args) -> CmdResult {
         result.ok_or_else(|| format!("{label}: engine reported no timing"))
     };
 
-    // 1. One replication, the classic single-run path. A lone cold run
-    //    measures start-up as much as the kernel, so one untimed run goes
-    //    first, then five timed runs of the same seed (which must agree)
-    //    give the median.
+    // 1. One replication, the classic single-run path. Within one
+    //    invocation the host speeds up for a while (five back-to-back runs
+    //    once read 59.5 → 97.4 M slots/s), so untimed runs of the seed warm
+    //    the kernel for at least `WARM_SECONDS` of wall time first. Then
+    //    five timed runs of the same seed (which must agree) give the
+    //    median, recorded beside the fastest and slowest.
     const SINGLE_RUNS: usize = 5;
+    const WARM_SECONDS: f64 = 0.5;
     let run_single = || {
         sim.clone().run(policy, &mut |_: usize| {
             spec::parse_recharge(recharge_spec).expect("static spec")
         })
     };
     let first = run_single()?;
+    let mut warmed = 0.0;
+    while warmed < WARM_SECONDS {
+        let (res, t) = evcap_bench::perf::measured(run_single);
+        if res? != first {
+            return Err("single runs of one seed diverged".into());
+        }
+        warmed += perf("warm-up", t)?.wall_seconds;
+    }
     let mut singles = Vec::with_capacity(SINGLE_RUNS);
     for _ in 0..SINGLE_RUNS {
         let (res, t) = evcap_bench::perf::measured(run_single);
@@ -708,6 +720,7 @@ pub fn bench_sim(args: &Args) -> CmdResult {
     }
     singles.sort_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds));
     let single_t = singles[SINGLE_RUNS / 2];
+    let (fastest, slowest) = (singles[0], singles[SINGLE_RUNS - 1]);
 
     // 2. The same R replications truly sequentially: R scalar runs with the
     //    batch's strided seeds, each paying the full per-run setup (event
@@ -790,10 +803,12 @@ pub fn bench_sim(args: &Args) -> CmdResult {
     // under its honest name, `cpu_seconds`.
     let _ = writeln!(
         doc,
-        "  \"single\": {{\"wall_seconds\": {}, \"cpu_seconds\": {}, \"slots_per_second\": {}}},", // deepcheck:allow(json-fmt): pretty-printed multi-line bench report; keys static, values num()-sanitized
+        "  \"single\": {{\"wall_seconds\": {}, \"cpu_seconds\": {}, \"slots_per_second\": {}, \"slots_per_second_min\": {}, \"slots_per_second_max\": {}}},", // deepcheck:allow(json-fmt): pretty-printed multi-line bench report; keys static, values num()-sanitized
         num(single_t.wall_seconds),
         num(single_t.cpu_seconds),
         num(single_t.wall_slots_per_second()),
+        num(slowest.wall_slots_per_second()),
+        num(fastest.wall_slots_per_second()),
     );
     let _ = write!(
         doc,
@@ -823,9 +838,11 @@ pub fn bench_sim(args: &Args) -> CmdResult {
     );
     println!("threads avail: {threads_available}");
     println!(
-        "single run   : {:.2} M slots/s  ({:.3} s wall)",
+        "single run   : {:.2} M slots/s  ({:.3} s wall; runs {:.2}–{:.2} M)",
         single_t.wall_slots_per_second() / 1e6,
-        single_t.wall_seconds
+        single_t.wall_seconds,
+        slowest.wall_slots_per_second() / 1e6,
+        fastest.wall_slots_per_second() / 1e6,
     );
     println!(
         "sequential   : {:.3} s wall for {replications} scalar runs",

@@ -443,10 +443,11 @@ impl<'a> ChainEval<'a> {
 
     /// Whether the walk's verdict is already certain, before its end:
     ///
-    /// * [`Settled::Dominated`] once `μ / cycle ≤ bar`. `cycle` is a sum
-    ///   of non-negative terms and [`ChainEval::finish`] only adds to it,
-    ///   so the finished capture probability cannot exceed `bar`; valid at
-    ///   any slot.
+    /// * [`Settled::Dominated`] once its running score is at or below
+    ///   `bar`: `μ / cycle` under QoM, `−cycle` under peak age. `cycle`
+    ///   is a sum of non-negative terms and [`ChainEval::finish`] only adds
+    ///   to it (or makes it infinite), so the finished capture probability,
+    ///   and the finished `−E[T]`, cannot exceed `bar`; valid at any slot.
     /// * [`Settled::Overspent`] once `energy > budget·cycle` with
     ///   `δ1 > budget`. Valid only when every remaining slot is active
     ///   (`c = 1`), which the caller vouches for by passing a finite
@@ -454,9 +455,13 @@ impl<'a> ChainEval<'a> {
     ///   least `δ1` of energy per unit of `cycle`, so the finished
     ///   discharge rate stays above `budget`.
     ///
-    /// `bar = -∞` and `budget = +∞` switch the exits off.
-    fn settled(&self, bar: f64, budget: f64) -> Option<Settled> {
-        if self.mean / self.cycle <= bar {
+    /// `bar.at = -∞` and `budget = +∞` switch the exits off.
+    fn settled(&self, bar: Bar, budget: f64) -> Option<Settled> {
+        let score = match bar.on {
+            BarOn::Capture => self.mean / self.cycle,
+            BarOn::Cycle => -self.cycle,
+        };
+        if score <= bar.at {
             Some(Settled::Dominated)
         } else if self.d1 > budget && self.energy > budget * self.cycle {
             Some(Settled::Overspent)
@@ -524,8 +529,8 @@ enum Settled {
 /// [`ChainEval::settled`]).
 #[derive(Debug, Clone, Copy)]
 struct Exits {
-    /// Dominance bar on `μ / cycle`; `-∞` switches the exit off.
-    bar: f64,
+    /// The dominance bar.
+    bar: Bar,
     /// Budget (with margin) for the overspent exit; `+∞` switches it off.
     budget: f64,
 }
@@ -533,9 +538,35 @@ struct Exits {
 impl Exits {
     /// Every walk runs to its end.
     const NONE: Exits = Exits {
-        bar: f64::NEG_INFINITY,
+        bar: Bar::OFF,
         budget: f64::INFINITY,
     };
+}
+
+/// A dominance bar: the walk settles once its running score on `on` is at
+/// or below `at`; `at = -∞` switches the exit off.
+#[derive(Debug, Clone, Copy)]
+struct Bar {
+    on: BarOn,
+    at: f64,
+}
+
+impl Bar {
+    const OFF: Bar = Bar {
+        on: BarOn::Capture,
+        at: f64::NEG_INFINITY,
+    };
+}
+
+/// The running score a dominance bar reads.
+#[derive(Debug, Clone, Copy)]
+enum BarOn {
+    /// `μ / cycle`, which only falls toward the finished capture
+    /// probability (QoM's score).
+    Capture,
+    /// `−cycle`, which only falls toward the finished `−E[T]` (peak age's
+    /// score).
+    Cycle,
 }
 
 impl ClusteringPolicy {
@@ -832,22 +863,39 @@ impl ClusteringOptimizer {
     /// an incumbent (before that, even `finish`'s never-captures outcome —
     /// capture 0 at discharge 0 — could be accepted). Then the overspent
     /// exit at the budget plus a `1e-9` relative margin, which covers the
-    /// rounding of up to `max_slots` more non-negative additions; and,
-    /// under QoM only (the age scores are not monotone in the capture
-    /// probability), the dominance bar `best + 1e-12 − 1e-9`. Its margin
-    /// covers the assumption that a budget-balanced variant never scores
-    /// above its fully-open one: they differ only in the missed-event mass
-    /// `c_{n1}` leaves in the chain, which only lengthens the cycle.
+    /// rounding of up to `max_slots` more non-negative additions; and a
+    /// dominance bar wherever the score only falls as a walk goes on.
+    ///
+    /// That holds for QoM's `μ / cycle` and peak age's `−cycle`, not for
+    /// the mean age, which weighs `E[T²]` against `E[T]`. Both bars rest on
+    /// one assumption: a budget-balanced variant never scores above its
+    /// fully-open one. They differ only in the missed-event mass `c_{n1}`
+    /// leaves in the chain, which only lengthens the cycle (lowering `μ /
+    /// E[T]` and `−E[T]` alike). A candidate is accepted above the
+    /// incumbent's score plus `1e-12`, so the bar sits below that by a
+    /// margin for the rounding between the two variants' walks: `1e-9`
+    /// under QoM, whose score is a probability at most 1, and `1e-9·|best|`
+    /// under peak age, whose score is a cycle length in slots. Either is a
+    /// relative `1e-9` of the score, far above the `~1e-12` relative
+    /// rounding of the few thousand additions a walk makes.
     fn exits(&self, best: Option<&Ranked>) -> Exits {
         let Some(best) = best else {
             return Exits::NONE;
         };
-        Exits {
-            bar: if self.objective == Objective::Qom {
-                best.score + 1e-12 - 1e-9
-            } else {
-                f64::NEG_INFINITY
+        let accept = best.score + 1e-12;
+        let bar = match self.objective {
+            Objective::Qom => Bar {
+                on: BarOn::Capture,
+                at: accept - 1e-9,
             },
+            Objective::AoiPeak => Bar {
+                on: BarOn::Cycle,
+                at: accept - 1e-9 * best.score.abs(),
+            },
+            Objective::AoiMean => Bar::OFF,
+        };
+        Exits {
+            bar,
             budget: self.budget.rate() * (1.0 + 1e-9),
         }
     }
@@ -896,7 +944,7 @@ impl ClusteringOptimizer {
                 evcap_obs::timing::add_count("clustering.settled_overspent", 1);
                 probe.clone_from(closed_from);
                 let overspent_only = Exits {
-                    bar: f64::NEG_INFINITY,
+                    bar: Bar::OFF,
                     ..exits
                 };
                 let Ok(closed) = probe.walk_variant(0.0, lattice, overspent_only) else {

@@ -1,14 +1,16 @@
 //! The slotted simulation engine: one slot kernel behind every entry point.
 //!
 //! [`Simulation::run`] and its variants, and every replication of a
-//! [`crate::ReplicationBatch`], run the same kernel. Its state is built so
-//! the compiler can keep it in registers: each sensor is a [`Lane`] of
-//! plain integers (battery level and statistics in milli-units), a
-//! one-sensor run holds its lane in a fixed-size local rather than on the
-//! heap, each recharge process is classified once per run so the
-//! closed-form kinds run inline, and configuration branches (outages,
-//! round-robin ownership, the event cursor) are hoisted out of the slot
-//! loop.
+//! [`crate::ReplicationBatch`], run the same kernel. It walks the event
+//! schedule one stretch of slots at a time ([`Run::slot_loop`]): between
+//! two events only recharges and decisions happen, so the event test,
+//! the warm-up test and the age bookkeeping move to the stretch's last
+//! slot, where the ages sum in closed form. Its state is built so the
+//! compiler can keep it in registers: each sensor is a [`Lane`] of plain
+//! integers whose arithmetic is exact without saturating, a one-sensor
+//! run holds its lane by value and compiles its loop for its own recharge
+//! kind, and configuration branches (outages, round-robin ownership) are
+//! hoisted out of the slot loop.
 
 use evcap_core::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable, SlotAssignment};
 use evcap_dist::SlotPmf;
@@ -345,25 +347,39 @@ impl<'a> Simulation<'a> {
             Some(level) => Battery::new(self.battery_capacity, level)?,
             None => Battery::half_full(self.battery_capacity)?,
         };
-        let lane = Lane {
-            level: battery.level().as_millis(),
-            ..Lane::default()
-        };
+        let initial = battery.level().as_millis();
         let run = Run {
             sim: self,
             seed,
             events: schedule.event_slots(),
             info,
             prob,
-            initial: lane.level,
+            initial,
+            capacity: self.battery_capacity.as_millis(),
+            threshold: self.consumption.activation_threshold().as_millis(),
+            d1: self.consumption.sensing_cost().as_millis(),
+            d2: self.consumption.capture_cost().as_millis(),
+        };
+        let lane = Lane {
+            level: initial,
+            ..Lane::default()
         };
         let report = if self.sensors == 1 {
-            run.slot_loop([lane], [Harvest::classify(make_recharge(0))], observer)
+            match Harvest::classify(make_recharge(0)) {
+                Harvest::Bernoulli(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+                Harvest::Constant(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+                Harvest::Periodic(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+                Harvest::Uniform(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+                Harvest::Opaque(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+            }
         } else {
-            let harvests = (0..self.sensors)
-                .map(|s| Harvest::classify(make_recharge(s)))
-                .collect::<Vec<_>>();
-            run.slot_loop(vec![lane; self.sensors], harvests, observer)
+            let fleet: Vec<Sensor<Harvest>> = (0..self.sensors)
+                .map(|s| Sensor {
+                    lane,
+                    harvest: Harvest::classify(make_recharge(s)),
+                })
+                .collect();
+            run.slot_loop(fleet, observer)
         };
         timing::add_count("sim.slots", self.slots);
         Ok(report)
@@ -371,14 +387,39 @@ impl<'a> Simulation<'a> {
 }
 
 /// One sensor's battery and statistics as plain integers (energy in
-/// milli-units), mirroring [`Battery`] and [`SensorStats`] exactly.
+/// milli-units), reproducing [`Battery`] and [`SensorStats`] exactly.
+///
+/// Plain arithmetic is exact here, without `Energy`'s saturating steps:
+///
+/// - The level starts in `[0, K]` ([`Battery`] validates it). A
+///   closed-form recharge delivers a non-negative amount and absorbs at
+///   most the headroom `K − level` ([`Lane::absorb`]); a decision spends
+///   `δ1` only at `level ≥ δ1 + δ2`; a capture spends `δ2` only when the
+///   level covers it. So the level never leaves `[0, K]` and no operation
+///   on it can overflow.
+/// - The energy totals sum non-negative terms (costs, absorbed amounts,
+///   overflows), and a saturating running sum of non-negative terms equals
+///   `min(exact sum, i64::MAX)`. So [`Lane::stats`] computes each total
+///   exactly in `i128` and clamps once, and none is summed slot by slot:
+///   the costs follow from the counts (`δ1` per activation, `δ2` per
+///   capture), the absorbed total from the level (`level = initial +
+///   absorbed − spent`, exactly), and the overflow from what the process
+///   delivered ([`Deliver::totals`]). With fewer than `2^62` slots, none
+///   of these `i128` values can overflow.
+/// - Only an opaque process ([`RechargeKind::Other`]) may deliver a
+///   negative amount, which can take the level below zero and the absorbed
+///   total back down from its limit. It keeps `Energy`'s saturating steps
+///   and sums its own totals ([`Opaque`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct Lane {
     level: i64,
-    consumed: i64,
-    recharged: i64,
-    overflow: i64,
     activations: u64,
+    /// Captures made, warm-up included: each one charged `δ2`.
+    charged: u64,
+    /// Charged captures the level could not cover (possible only when
+    /// `δ1 + δ2` saturates `i64`).
+    unpaid: u64,
+    /// Captures credited to the statistics (past warm-up).
     captures: u64,
     forced_idle: u64,
     outage_slots: u64,
@@ -387,21 +428,21 @@ struct Lane {
     active: bool,
 }
 
+/// An exact `i128` total clamped into `Energy`'s range: the value a
+/// saturating `i64` sum of the same non-negative terms holds.
+fn clamped(total: i128) -> Energy {
+    Energy::from_millis(total.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64)
+}
+
 impl Lane {
-    /// [`Battery::recharge`] plus the recharge statistics, in [`Energy`]'s
-    /// saturating arithmetic. Returns the overflow.
+    /// [`Battery::recharge`] of a non-negative amount; returns the
+    /// overflow.
     #[inline(always)]
     fn absorb(&mut self, amount: i64, capacity: i64) -> i64 {
-        let absorbed = amount.min(capacity.saturating_sub(self.level));
-        self.level = self.level.saturating_add(absorbed);
-        let overflow = amount.saturating_sub(absorbed);
-        self.recharged = self
-            .recharged
-            .saturating_add(amount.saturating_sub(overflow));
-        if overflow != 0 {
-            self.overflow = self.overflow.saturating_add(overflow);
-        }
-        overflow
+        debug_assert!(amount >= 0 && (0..=capacity).contains(&self.level));
+        let absorbed = amount.min(capacity - self.level);
+        self.level += absorbed;
+        amount - absorbed
     }
 
     /// Pays the capture cost `δ2` ([`Battery::try_consume`]) and credits
@@ -413,139 +454,313 @@ impl Lane {
         if paid {
             self.level -= d2;
         }
-        self.consumed = self.consumed.saturating_add(d2);
+        self.charged += 1;
+        self.unpaid += u64::from(!paid);
         self.captures += u64::from(measured);
         self.own_last_capture = t;
     }
 
-    fn stats(&self, initial: i64) -> SensorStats {
+    /// The lane's statistics at the end of the run, recharged by `harvest`.
+    fn stats(&self, run: &Run<'_, impl ProbSource>, harvest: &impl Deliver) -> SensorStats {
+        let cost = |count: u64, each: i64| i128::from(count) * i128::from(each);
+        let consumed = cost(self.activations, run.d1) + cost(self.charged, run.d2);
+        let spent = consumed - cost(self.unpaid, run.d2);
+        let balance = i128::from(self.level) - i128::from(run.initial) + spent;
+        let (recharged, overflow) = harvest.totals(run.sim.slots, balance);
         SensorStats {
             activations: self.activations,
             captures: self.captures,
             forced_idle: self.forced_idle,
             outage_slots: self.outage_slots,
-            consumed: Energy::from_millis(self.consumed),
-            recharged: Energy::from_millis(self.recharged),
-            overflow: Energy::from_millis(self.overflow),
-            initial_level: Energy::from_millis(initial),
+            consumed: clamped(consumed),
+            recharged: clamped(recharged),
+            overflow: clamped(overflow),
+            initial_level: Energy::from_millis(run.initial),
             final_level: Energy::from_millis(self.level),
         }
     }
 }
 
-/// Where a run keeps its lanes: a one-sensor run in a fixed-size local the
-/// compiler can promote to registers, a fleet in a vector. [`Lanes::at`]
-/// maps a sensor index to its lane; the single lane answers 0 without
-/// looking, so every access to it has a constant index.
-trait Lanes: AsRef<[Lane]> + AsMut<[Lane]> {
-    fn at(sensor: usize) -> usize;
+/// How a lane's recharge is delivered each slot. The slot loop is
+/// monomorphized over it: a one-sensor run compiles its loop for its own
+/// process's kind, a fleet dispatches per lane through [`Harvest`].
+trait Deliver {
+    /// Delivers the next slot's recharge into `lane`; returns the overflow
+    /// in milli-units.
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64;
+
+    /// The exact `(absorbed, overflow)` totals after `slots` slots, for a
+    /// lane whose level balance (final − initial + spent) is `balance`.
+    fn totals(&self, slots: u64, balance: i128) -> (i128, i128);
 }
 
-impl Lanes for [Lane; 1] {
+/// A closed-form process's totals: what the level's balance says it
+/// absorbed, and the rest of what it delivered as overflow.
+fn closed_form_totals(delivered: i128, balance: i128) -> (i128, i128) {
+    (balance, delivered - balance)
+}
+
+/// `c` milli-units with probability `q` per slot.
+struct Bernoulli {
+    q: f64,
+    c: i64,
+    hits: u64,
+}
+
+impl Deliver for Bernoulli {
     #[inline(always)]
-    fn at(_sensor: usize) -> usize {
-        0
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        // One f64 per slot, hit or miss. The hit selects the amount
+        // without a branch: at `q` near 1/2 a branch would mispredict
+        // every other slot.
+        let hit = rng.random::<f64>() < self.q;
+        self.hits += u64::from(hit);
+        lane.absorb(std::hint::select_unpredictable(hit, self.c, 0), capacity)
+    }
+
+    fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
+        let delivered = i128::from(self.c) * i128::from(self.hits);
+        closed_form_totals(delivered, balance)
     }
 }
 
-impl Lanes for Vec<Lane> {
+/// `rate` milli-units every slot.
+struct Constant {
+    rate: i64,
+}
+
+impl Deliver for Constant {
     #[inline(always)]
-    fn at(sensor: usize) -> usize {
-        sensor
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, _rng: &mut SmallRng) -> i64 {
+        lane.absorb(self.rate, capacity)
+    }
+
+    fn totals(&self, slots: u64, balance: i128) -> (i128, i128) {
+        closed_form_totals(i128::from(self.rate) * i128::from(slots), balance)
+    }
+}
+
+/// `amount` milli-units at the end of every `period` slots.
+struct Periodic {
+    amount: i64,
+    period: u32,
+    phase: u32,
+    lumps: u64,
+}
+
+impl Deliver for Periodic {
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, _rng: &mut SmallRng) -> i64 {
+        self.phase += 1;
+        let amount = if self.phase == self.period {
+            self.phase = 0;
+            self.lumps += 1;
+            self.amount
+        } else {
+            0
+        };
+        lane.absorb(amount, capacity)
+    }
+
+    fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
+        let delivered = i128::from(self.amount) * i128::from(self.lumps);
+        closed_form_totals(delivered, balance)
+    }
+}
+
+/// Uniform on `[lo, hi]` milli-units.
+struct Uniform {
+    lo: i64,
+    hi: i64,
+    drawn: i128,
+}
+
+impl Deliver for Uniform {
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        let amount = rng.random_range(self.lo..=self.hi);
+        self.drawn += i128::from(amount);
+        lane.absorb(amount, capacity)
+    }
+
+    fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
+        closed_form_totals(self.drawn, balance)
+    }
+}
+
+/// A process without a closed form: the boxed `next` call, absorbed in
+/// `Energy`'s saturating arithmetic step by step, with its own totals.
+struct Opaque {
+    process: Box<dyn RechargeProcess>,
+    /// The absorbed total, saturating at each step like `Energy`'s sums.
+    recharged: i64,
+    /// The overflow total, exact (overflows are never negative).
+    overflow: i128,
+}
+
+impl Deliver for Opaque {
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        // The trait object draws from a copy of the stream, so the
+        // kernel's own generator never has its address taken and can stay
+        // in registers.
+        let mut stream = rng.clone();
+        let amount = self.process.next(&mut stream).as_millis();
+        *rng = stream;
+        let absorbed = amount.min(capacity.saturating_sub(lane.level));
+        lane.level = lane.level.saturating_add(absorbed);
+        let overflow = amount.saturating_sub(absorbed);
+        self.recharged = self
+            .recharged
+            .saturating_add(amount.saturating_sub(overflow));
+        self.overflow += i128::from(overflow);
+        overflow
+    }
+
+    fn totals(&self, _slots: u64, _balance: i128) -> (i128, i128) {
+        (i128::from(self.recharged), self.overflow)
     }
 }
 
 /// A sensor's recharge process, classified once per run from
 /// [`RechargeProcess::kind`]. The closed-form kinds deliver inline in the
 /// slot loop (the kind contract makes their deliveries and RNG draws those
-/// of `next`); only [`RechargeKind::Other`] keeps the boxed `next` call.
+/// of `next`); [`RechargeKind::Other`], and any kind whose parameters could
+/// deliver a negative amount, keeps the boxed `next` call.
 enum Harvest {
-    Bernoulli {
-        q: f64,
-        c: i64,
-    },
-    Constant {
-        rate: i64,
-    },
-    Periodic {
-        amount: i64,
-        period: u32,
-        phase: u32,
-    },
-    Uniform {
-        lo: i64,
-        hi: i64,
-    },
-    Other(Box<dyn RechargeProcess>),
+    Bernoulli(Bernoulli),
+    Constant(Constant),
+    Periodic(Periodic),
+    Uniform(Uniform),
+    Opaque(Opaque),
 }
 
 impl Harvest {
     fn classify(process: Box<dyn RechargeProcess>) -> Self {
         match process.kind() {
-            RechargeKind::Bernoulli { q, c } => Harvest::Bernoulli {
-                q,
-                c: c.as_millis(),
-            },
-            RechargeKind::Constant { rate } => Harvest::Constant {
-                rate: rate.as_millis(),
-            },
+            RechargeKind::Bernoulli { q, c } if c >= Energy::ZERO => {
+                Harvest::Bernoulli(Bernoulli {
+                    q,
+                    c: c.as_millis(),
+                    hits: 0,
+                })
+            }
+            RechargeKind::Constant { rate } if rate >= Energy::ZERO => {
+                Harvest::Constant(Constant {
+                    rate: rate.as_millis(),
+                })
+            }
             RechargeKind::Periodic {
                 amount,
                 period,
                 phase,
-            } => Harvest::Periodic {
+            } if amount >= Energy::ZERO => Harvest::Periodic(Periodic {
                 amount: amount.as_millis(),
                 period,
                 phase,
-            },
-            RechargeKind::Uniform { lo, hi } => Harvest::Uniform {
+                lumps: 0,
+            }),
+            RechargeKind::Uniform { lo, hi } if lo >= Energy::ZERO => Harvest::Uniform(Uniform {
                 lo: lo.as_millis(),
                 hi: hi.as_millis(),
-            },
-            RechargeKind::Other => Harvest::Other(process),
-        }
-    }
-
-    /// The next slot's delivery in milli-units.
-    #[inline(always)]
-    fn next(&mut self, rng: &mut SmallRng) -> i64 {
-        match self {
-            Harvest::Bernoulli { q, c } => {
-                // One f64 per slot, hit or miss. The hit selects the
-                // amount without a branch: at `q` near 1/2 a branch would
-                // mispredict every other slot.
-                let hit = rng.random::<f64>() < *q;
-                std::hint::select_unpredictable(hit, *c, 0)
-            }
-            Harvest::Constant { rate } => *rate,
-            Harvest::Periodic {
-                amount,
-                period,
-                phase,
-            } => {
-                *phase += 1;
-                if *phase == *period {
-                    *phase = 0;
-                    *amount
-                } else {
-                    0
-                }
-            }
-            Harvest::Uniform { lo, hi } => rng.random_range(*lo..=*hi),
-            Harvest::Other(process) => {
-                // The trait object draws from a copy of the stream, so the
-                // kernel's own generator never has its address taken and
-                // can stay in registers.
-                let mut stream = rng.clone();
-                let amount = process.next(&mut stream);
-                *rng = stream;
-                amount.as_millis()
-            }
+                drawn: 0,
+            }),
+            _ => Harvest::Opaque(Opaque {
+                process,
+                recharged: 0,
+                overflow: 0,
+            }),
         }
     }
 }
 
-/// One seed's run: the configuration and everything the slot loop reads.
+impl Deliver for Harvest {
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        match self {
+            Harvest::Bernoulli(h) => h.recharge(lane, capacity, rng),
+            Harvest::Constant(h) => h.recharge(lane, capacity, rng),
+            Harvest::Periodic(h) => h.recharge(lane, capacity, rng),
+            Harvest::Uniform(h) => h.recharge(lane, capacity, rng),
+            Harvest::Opaque(h) => h.recharge(lane, capacity, rng),
+        }
+    }
+
+    fn totals(&self, slots: u64, balance: i128) -> (i128, i128) {
+        match self {
+            Harvest::Bernoulli(h) => h.totals(slots, balance),
+            Harvest::Constant(h) => h.totals(slots, balance),
+            Harvest::Periodic(h) => h.totals(slots, balance),
+            Harvest::Uniform(h) => h.totals(slots, balance),
+            Harvest::Opaque(h) => h.totals(slots, balance),
+        }
+    }
+}
+
+/// One sensor: its lane and its recharge.
+struct Sensor<D> {
+    lane: Lane,
+    harvest: D,
+}
+
+/// Where a run keeps its sensors: a one-sensor run holds its [`Sensor`]
+/// by value, a fleet keeps a vector. The single sensor answers every
+/// access without looking at the index, so the compiler can promote its
+/// lane to registers.
+trait Sensors {
+    type Harvest: Deliver;
+
+    /// How many sensors there are.
+    fn count(&self) -> usize;
+
+    /// Sensor `s`'s lane and recharge.
+    fn sensor(&mut self, s: usize) -> (&mut Lane, &mut Self::Harvest);
+
+    /// Sensor `s`'s lane.
+    fn lane(&self, s: usize) -> &Lane;
+}
+
+impl<D: Deliver> Sensors for Sensor<D> {
+    type Harvest = D;
+
+    #[inline(always)]
+    fn count(&self) -> usize {
+        1
+    }
+
+    #[inline(always)]
+    fn sensor(&mut self, _s: usize) -> (&mut Lane, &mut D) {
+        (&mut self.lane, &mut self.harvest)
+    }
+
+    #[inline(always)]
+    fn lane(&self, _s: usize) -> &Lane {
+        &self.lane
+    }
+}
+
+impl Sensors for Vec<Sensor<Harvest>> {
+    type Harvest = Harvest;
+
+    #[inline(always)]
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn sensor(&mut self, s: usize) -> (&mut Lane, &mut Harvest) {
+        let sensor = &mut self[s];
+        (&mut sensor.lane, &mut sensor.harvest)
+    }
+
+    #[inline(always)]
+    fn lane(&self, s: usize) -> &Lane {
+        &self[s].lane
+    }
+}
+
+/// One seed's run: the configuration and everything the slot loop reads,
+/// energies in milli-units.
 struct Run<'r, P> {
     sim: &'r Simulation<'r>,
     seed: u64,
@@ -553,207 +768,120 @@ struct Run<'r, P> {
     info: InfoModel,
     prob: &'r P,
     initial: i64,
+    capacity: i64,
+    /// The activation threshold `δ1 + δ2`.
+    threshold: i64,
+    d1: i64,
+    d2: i64,
+}
+
+/// What the slot loop carries from slot to slot besides the sensors.
+struct Walk {
+    rng: SmallRng,
+    /// The next round-robin owner: ownership advances with a counter
+    /// instead of a per-slot modulo.
+    round_robin: usize,
+    /// The full-information renewal point: the last event.
+    last_event: u64,
+    /// The partial-information renewal point: the last fleet-wide capture
+    /// (broadcast to every sensor).
+    last_capture: u64,
+}
+
+/// `Σ_{k=0}^{n-1} k = n(n − 1)/2` for `n ≥ 1`, halving the even factor
+/// first so the product only overflows when the sum itself does.
+#[inline(always)]
+fn triangle(n: u64) -> u64 {
+    if n.is_multiple_of(2) {
+        n / 2 * (n - 1)
+    } else {
+        (n - 1) / 2 * n
+    }
 }
 
 impl<P: ProbSource> Run<'_, P> {
-    /// The slot loop. Per slot, in the paper's order: every sensor
-    /// recharges (in sensor order, drawing from the one RNG stream), the
-    /// deciding sensor(s) act (the activation coin draws after the
-    /// recharges), then the pre-sampled event, if any, arrives. Observer
+    /// The slot loop, walked one stretch of slots at a time.
+    ///
+    /// A stretch ends at the next slot that needs more than a recharge and
+    /// a decision: an event, a battery sample, a traced slot, or the
+    /// horizon. Inside it no capture can happen, so every information
+    /// state `t − since` is a counter and the age of information rises by
+    /// one per slot. The slots before the last run [`Run::slot`] and the
+    /// per-slot observer hooks only; the last one also settles the event,
+    /// its statistics, and the stretch's ages (a run of consecutive
+    /// integers, summed in closed form). The warm-up only bounds that sum
+    /// and decides whether the closing event counts.
+    ///
+    /// Per slot, in the paper's order: every sensor recharges, the deciding
+    /// sensor(s) act, then the pre-sampled event, if any, arrives. Observer
     /// hooks fire in the order the [`Observer`] docs list.
     #[inline(always)]
-    fn slot_loop<L: Lanes, H: AsMut<[Harvest]>, O: Observer>(
-        &self,
-        mut lanes: L,
-        mut harvests: H,
-        observer: &mut O,
-    ) -> SimReport {
+    fn slot_loop<S: Sensors, O: Observer>(&self, mut sensors: S, observer: &mut O) -> SimReport {
         let sim = self.sim;
-        let sensors = sim.sensors;
-        let capacity = sim.battery_capacity.as_millis();
-        let threshold = sim.consumption.activation_threshold().as_millis();
-        let d1 = sim.consumption.sensing_cost().as_millis();
-        let d2 = sim.consumption.capture_cost().as_millis();
-        let has_outages = !sim.outages.is_empty();
-        let wants_levels = observer.wants_battery_levels();
-        let mut levels = Vec::with_capacity(if wants_levels { sensors } else { 0 });
+        let horizon = sim.slots;
+        let warmup = sim.warmup_slots;
+        let trace_end = u64::try_from(sim.trace_slots).unwrap_or(u64::MAX);
+        let mut levels = Vec::with_capacity(if observer.wants_battery_levels() {
+            sim.sensors
+        } else {
+            0
+        });
         let mut trace = Vec::with_capacity(sim.trace_slots.min(4096));
         let mut battery_trace = Vec::new();
 
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        // The schedule is sorted and `t` only moves forward, so the event
-        // test is one comparison against the next event's slot.
-        let mut upcoming = self.events.iter().copied();
-        let mut next_event = upcoming.next().unwrap_or(u64::MAX);
-        // Round-robin ownership advances with a counter instead of a
-        // per-slot modulo.
-        let mut round_robin = 0usize;
-
         // The paper anchors the process with an event at slot 0; all
         // information states start there.
-        let mut last_event = 0u64; // full-information renewal point
-        let mut shared_last_capture = 0u64; // broadcast PI renewal point
+        let mut walk = Walk {
+            rng: SmallRng::seed_from_u64(self.seed),
+            round_robin: 0,
+            last_event: 0,
+            last_capture: 0,
+        };
+        // The schedule is strictly increasing from slot 1, so the next
+        // event is never behind the stretch being walked.
+        let mut upcoming = self.events.iter().copied();
+        let mut next_event = upcoming.next().unwrap_or(u64::MAX);
+        let sample_every = sim.battery_sample_every.unwrap_or(u64::MAX);
+        let mut next_sample = sample_every;
         let mut events = 0u64;
         let mut captures = 0u64;
         let mut age_sum = 0u64;
         let mut peak_age = 0u64;
 
-        for t in 1..=sim.slots {
-            // 1. Recharge every sensor (harvesting continues through
-            //    outages, as a supercapacitor's would).
-            for (s, (lane, harvest)) in lanes
-                .as_mut()
-                .iter_mut()
-                .zip(harvests.as_mut().iter_mut())
-                .enumerate()
-            {
-                let overflow = lane.absorb(harvest.next(&mut rng), capacity);
-                if overflow > 0 {
-                    observer.on_recharge_overflow(t, s, Energy::from_millis(overflow).as_units());
-                }
-            }
-
-            // 2. The deciding sensor(s) act.
-            let measured = t > sim.warmup_slots;
-            let tracing = (t as usize) <= sim.trace_slots;
-            let mut outcome = SlotOutcome {
-                slot: t,
-                owner: 0,
-                state: 0,
-                wanted: false,
-                active: false,
-                event: false,
-                captured: false,
-                measured,
+        let mut first = 1u64;
+        loop {
+            let tracing = first <= trace_end;
+            let last = if tracing {
+                first
+            } else {
+                next_event.min(next_sample).min(horizon)
             };
-            let mut record = None;
-            let decide =
-                |lane: &mut Lane, s: usize, state: usize, rng: &mut SmallRng, observer: &mut O| {
-                    let battery_fraction = fill_fraction(lane.level, capacity);
-                    let p = self.prob.probability(&DecisionContext {
-                        slot: t,
-                        state,
-                        battery_fraction,
-                    });
-                    debug_assert!((0.0..=1.0).contains(&p), "policy returned {p}");
-                    let wanted = coin_wants(p, rng);
-                    let feasible = lane.level >= threshold;
-                    if wanted && !feasible {
-                        lane.forced_idle += 1;
-                        observer.on_forced_idle(t, s, battery_fraction);
-                    }
-                    let active = wanted && feasible;
-                    if active {
-                        // The threshold `δ1 + δ2` covers `δ1`.
-                        lane.level -= d1;
-                        lane.consumed = lane.consumed.saturating_add(d1);
-                        lane.activations += 1;
-                    }
-                    (wanted, active)
-                };
-            match sim.coordination {
-                Coordination::Rotating(assignment) => {
-                    let owner = match assignment {
-                        SlotAssignment::RoundRobin => {
-                            let owner = round_robin;
-                            round_robin += 1;
-                            if round_robin == sensors {
-                                round_robin = 0;
-                            }
-                            owner
-                        }
-                        other => other.owner(t, sensors),
-                    };
-                    outcome.owner = owner;
-                    let lane = &mut lanes.as_mut()[L::at(owner)];
-                    if has_outages && sim.outages.is_down(owner, t) {
-                        lane.outage_slots += 1;
-                        observer.on_outage(t, owner);
-                        if tracing {
-                            record = Some(TraceRecord {
-                                slot: t,
-                                owner,
-                                state: 0,
-                                wanted_active: false,
-                                active: false,
-                                event: false,
-                                captured: false,
-                            });
-                        }
-                    } else {
-                        let since = match self.info {
-                            InfoModel::Full => last_event,
-                            InfoModel::Partial => shared_last_capture,
-                        };
-                        let state = (t - since) as usize;
-                        let (wanted, active) = decide(lane, owner, state, &mut rng, observer);
-                        outcome.state = state;
-                        outcome.wanted = wanted;
-                        outcome.active = active;
-                        if tracing {
-                            record = Some(TraceRecord {
-                                slot: t,
-                                owner,
-                                state,
-                                wanted_active: wanted,
-                                active,
-                                event: false,
-                                captured: false,
-                            });
-                        }
-                    }
-                }
-                Coordination::Independent => {
-                    for (s, lane) in lanes.as_mut().iter_mut().enumerate() {
-                        lane.active = false;
-                        if has_outages && sim.outages.is_down(s, t) {
-                            lane.outage_slots += 1;
-                            observer.on_outage(t, s);
-                            continue;
-                        }
-                        let since = match self.info {
-                            InfoModel::Full => last_event,
-                            InfoModel::Partial => lane.own_last_capture,
-                        };
-                        let state = (t - since) as usize;
-                        let (wanted, active) = decide(lane, s, state, &mut rng, observer);
-                        lane.active = active;
-                        outcome.wanted |= wanted;
-                        if active && !outcome.active {
-                            // Report the lowest-indexed activating sensor.
-                            outcome.owner = s;
-                            outcome.state = state;
-                            outcome.active = true;
-                        }
-                        if s == 0 && tracing {
-                            record = Some(TraceRecord {
-                                slot: t,
-                                owner: 0,
-                                state,
-                                wanted_active: wanted,
-                                active,
-                                event: false,
-                                captured: false,
-                            });
-                        }
-                    }
-                }
+            debug_assert!(first <= last && last <= horizon);
+            for t in first..last {
+                let (outcome, _) = self.slot(t, &mut sensors, &mut walk, false, observer);
+                self.close_slot(&outcome, &sensors, &mut levels, observer);
             }
+            let (mut outcome, record) = self.slot(last, &mut sensors, &mut walk, tracing, observer);
 
-            // 3. The event (if any) arrives after the decisions; every
-            //    active sensor captures it.
-            let event = t == next_event;
-            if event {
+            // 3. The event (if any) arrives after the last slot's
+            //    decisions; every active sensor captures it.
+            let capture_before = walk.last_capture;
+            if last == next_event {
                 next_event = upcoming.next().unwrap_or(u64::MAX);
+                let measured = last > warmup;
                 events += u64::from(measured);
                 if outcome.active {
                     match sim.coordination {
                         Coordination::Rotating(_) => {
-                            lanes.as_mut()[L::at(outcome.owner)].capture(t, d2, measured);
+                            let (lane, _) = sensors.sensor(outcome.owner);
+                            lane.capture(last, self.d2, measured);
                         }
                         Coordination::Independent => {
-                            for lane in lanes.as_mut().iter_mut().filter(|lane| lane.active) {
-                                lane.capture(t, d2, measured);
+                            for s in 0..sensors.count() {
+                                let (lane, _) = sensors.sensor(s);
+                                if lane.active {
+                                    lane.capture(last, self.d2, measured);
+                                }
                             }
                         }
                     }
@@ -762,67 +890,241 @@ impl<P: ProbSource> Run<'_, P> {
                         // Gap since the previous fleet-wide capture (the
                         // paper's renewal-cycle length), measured before
                         // the update; the lowest-indexed capturer reports.
-                        observer.on_capture(t, outcome.owner, t - shared_last_capture);
+                        observer.on_capture(last, outcome.owner, last - capture_before);
                     }
-                    shared_last_capture = t;
+                    walk.last_capture = last;
                 } else if measured {
-                    observer.on_miss(t);
+                    observer.on_miss(last);
                 }
-                last_event = t;
+                walk.last_event = last;
                 outcome.event = true;
                 outcome.captured = outcome.active;
             }
 
-            // 4. Age of information once the slot resolves: slots since the
-            //    last fleet-wide capture (0 in a capture slot).
-            if measured {
-                let age = t - shared_last_capture;
-                age_sum += age;
-                peak_age = peak_age.max(age);
+            // 4. Age of information once each slot resolves: slots since
+            //    the last fleet-wide capture, which only the closing event
+            //    can move (to 0 in a capture slot). Over the measured part
+            //    of the stretch the ages are consecutive integers.
+            let aged_from = first.max(warmup + 1);
+            let aged_to = if outcome.captured { last - 1 } else { last };
+            if aged_from <= aged_to {
+                let n = aged_to - aged_from + 1;
+                age_sum += n * (aged_from - capture_before) + triangle(n);
+                peak_age = peak_age.max(aged_to - capture_before);
             }
 
             if let Some(mut record) = record {
-                record.event = event;
-                record.captured = event && record.active && outcome.captured;
+                record.event = outcome.event;
+                record.captured = outcome.event && record.active && outcome.captured;
                 trace.push(record);
             }
-            if let Some(every) = sim.battery_sample_every {
-                if t % every == 0 {
-                    let mut sample = Vec::with_capacity(sensors);
-                    for lane in lanes.as_ref() {
-                        sample.push(Energy::from_millis(lane.level));
-                    }
-                    battery_trace.push(BatterySample {
-                        slot: t,
-                        levels: sample,
-                    });
+            if last == next_sample {
+                next_sample = next_sample.saturating_add(sample_every);
+                let mut sample = Vec::with_capacity(sim.sensors);
+                for s in 0..sensors.count() {
+                    sample.push(Energy::from_millis(sensors.lane(s).level));
                 }
+                battery_trace.push(BatterySample {
+                    slot: last,
+                    levels: sample,
+                });
             }
-            if wants_levels {
-                levels.clear();
-                for lane in lanes.as_ref() {
-                    levels.push(fill_fraction(lane.level, capacity));
-                }
-                observer.on_battery_levels(t, &levels);
+            self.close_slot(&outcome, &sensors, &mut levels, observer);
+            if last == horizon {
+                break;
             }
-            observer.on_slot(&outcome);
+            first = last + 1;
         }
 
-        let mut stats = Vec::with_capacity(sensors);
-        for lane in lanes.as_ref() {
-            stats.push(lane.stats(self.initial));
+        let mut stats = Vec::with_capacity(sim.sensors);
+        for s in 0..sensors.count() {
+            let (lane, harvest) = sensors.sensor(s);
+            stats.push(lane.stats(self, harvest));
         }
         SimReport {
-            slots: sim.slots,
+            slots: horizon,
             events,
             captures,
             sensors: stats,
-            measured_slots: sim.slots - sim.warmup_slots,
+            measured_slots: horizon - warmup,
             age_sum,
             peak_age,
             trace,
             battery_trace,
         }
+    }
+
+    /// One slot's first two phases: every sensor recharges (in sensor
+    /// order, drawing from the one RNG stream), then the deciding
+    /// sensor(s) act (the activation coin draws after the recharges).
+    /// Returns the slot's outcome without its event, and its trace record
+    /// when `tracing`.
+    #[inline(always)]
+    fn slot<S: Sensors, O: Observer>(
+        &self,
+        t: u64,
+        sensors: &mut S,
+        walk: &mut Walk,
+        tracing: bool,
+        observer: &mut O,
+    ) -> (SlotOutcome, Option<TraceRecord>) {
+        let sim = self.sim;
+        let mut outcome = SlotOutcome {
+            slot: t,
+            owner: 0,
+            state: 0,
+            wanted: false,
+            active: false,
+            event: false,
+            captured: false,
+            measured: t > sim.warmup_slots,
+        };
+        let mut record = None;
+
+        // 1. Recharge every sensor (harvesting continues through outages,
+        //    as a supercapacitor's would).
+        for s in 0..sensors.count() {
+            let (lane, harvest) = sensors.sensor(s);
+            let overflow = harvest.recharge(lane, self.capacity, &mut walk.rng);
+            if overflow > 0 {
+                let lost = Energy::from_millis(overflow).as_units();
+                observer.on_recharge_overflow(t, s, lost);
+            }
+        }
+
+        // 2. The deciding sensor(s) act.
+        let has_outages = !sim.outages.is_empty();
+        match sim.coordination {
+            Coordination::Rotating(assignment) => {
+                let owner = match assignment {
+                    SlotAssignment::RoundRobin => {
+                        let owner = walk.round_robin;
+                        walk.round_robin += 1;
+                        if walk.round_robin == sim.sensors {
+                            walk.round_robin = 0;
+                        }
+                        owner
+                    }
+                    other => other.owner(t, sim.sensors),
+                };
+                outcome.owner = owner;
+                let (lane, _) = sensors.sensor(owner);
+                if has_outages && sim.outages.is_down(owner, t) {
+                    lane.outage_slots += 1;
+                    observer.on_outage(t, owner);
+                } else {
+                    let since = match self.info {
+                        InfoModel::Full => walk.last_event,
+                        InfoModel::Partial => walk.last_capture,
+                    };
+                    let state = (t - since) as usize;
+                    let (wanted, active) =
+                        self.decide(lane, t, owner, state, &mut walk.rng, observer);
+                    outcome.state = state;
+                    outcome.wanted = wanted;
+                    outcome.active = active;
+                }
+                if tracing {
+                    record = Some(TraceRecord {
+                        slot: t,
+                        owner,
+                        state: outcome.state,
+                        wanted_active: outcome.wanted,
+                        active: outcome.active,
+                        event: false,
+                        captured: false,
+                    });
+                }
+            }
+            Coordination::Independent => {
+                for s in 0..sensors.count() {
+                    let (lane, _) = sensors.sensor(s);
+                    lane.active = false;
+                    if has_outages && sim.outages.is_down(s, t) {
+                        lane.outage_slots += 1;
+                        observer.on_outage(t, s);
+                        continue;
+                    }
+                    let since = match self.info {
+                        InfoModel::Full => walk.last_event,
+                        InfoModel::Partial => lane.own_last_capture,
+                    };
+                    let state = (t - since) as usize;
+                    let (wanted, active) = self.decide(lane, t, s, state, &mut walk.rng, observer);
+                    lane.active = active;
+                    outcome.wanted |= wanted;
+                    if active && !outcome.active {
+                        // Report the lowest-indexed activating sensor.
+                        outcome.owner = s;
+                        outcome.state = state;
+                        outcome.active = true;
+                    }
+                    if s == 0 && tracing {
+                        record = Some(TraceRecord {
+                            slot: t,
+                            owner: 0,
+                            state,
+                            wanted_active: wanted,
+                            active,
+                            event: false,
+                            captured: false,
+                        });
+                    }
+                }
+            }
+        }
+        (outcome, record)
+    }
+
+    /// Sensor `s` decides in slot `t` from information state `state`:
+    /// returns whether its policy wanted to activate and whether it did.
+    #[inline(always)]
+    fn decide<O: Observer>(
+        &self,
+        lane: &mut Lane,
+        t: u64,
+        s: usize,
+        state: usize,
+        rng: &mut SmallRng,
+        observer: &mut O,
+    ) -> (bool, bool) {
+        let battery_fraction = fill_fraction(lane.level, self.capacity);
+        let p = self.prob.probability(&DecisionContext {
+            slot: t,
+            state,
+            battery_fraction,
+        });
+        debug_assert!((0.0..=1.0).contains(&p), "policy returned {p}");
+        let wanted = coin_wants(p, rng);
+        let feasible = lane.level >= self.threshold;
+        if wanted && !feasible {
+            observer.on_forced_idle(t, s, battery_fraction);
+        }
+        lane.forced_idle += u64::from(wanted && !feasible);
+        // The threshold `δ1 + δ2` covers `δ1`.
+        let active = wanted && feasible;
+        lane.level -= std::hint::select_unpredictable(active, self.d1, 0);
+        lane.activations += u64::from(active);
+        (wanted, active)
+    }
+
+    /// The observer hooks that close slot `outcome.slot`.
+    #[inline(always)]
+    fn close_slot<S: Sensors, O: Observer>(
+        &self,
+        outcome: &SlotOutcome,
+        sensors: &S,
+        levels: &mut Vec<f64>,
+        observer: &mut O,
+    ) {
+        if observer.wants_battery_levels() {
+            levels.clear();
+            for s in 0..sensors.count() {
+                levels.push(fill_fraction(sensors.lane(s).level, self.capacity));
+            }
+            observer.on_battery_levels(outcome.slot, levels);
+        }
+        observer.on_slot(outcome);
     }
 }
 

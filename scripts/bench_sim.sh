@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Measure simulation throughput and emit BENCH_sim.json: a single run (the
-# median of five timed runs of one seed, after an untimed one), the
+# median of five timed runs of one seed, with the fastest and slowest,
+# after at least 0.5 s of untimed runs warm the kernel), the
 # same replications as truly sequential single runs, and ReplicationBatch
 # at several thread counts. Every replication runs the same slot kernel;
 # the batch only shares the event sampler and the policy table across
