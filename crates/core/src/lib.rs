@@ -57,7 +57,6 @@
 
 mod baselines;
 mod clustering;
-mod dual;
 mod ebcw;
 mod error;
 mod exhaustive;
@@ -74,7 +73,6 @@ pub use clustering::{
     evaluate_partial_info, evaluate_partial_info_moments, ClusterEvaluation, ClusteringOptimizer,
     ClusteringPolicy, EvalOptions,
 };
-pub use dual::{solve_dual, DualSolution};
 pub use ebcw::EbcwPolicy;
 pub use error::PolicyError;
 pub use exhaustive::{BitmaskPolicy, ExhaustiveSearch, MAX_WINDOW};
@@ -83,7 +81,7 @@ pub use greedy::{EnergyBudget, GreedyPolicy};
 pub use multi::{MultiSensorPlan, SlotAssignment};
 pub use myopic::MyopicPolicy;
 pub use objective::{gap_moments, greedy_cycle_moments, CycleMoments, Objective};
-pub use policy::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable};
+pub use policy::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable, SlotClass};
 pub use refined::{RegionPolicy, Segment};
 
 /// Convenience alias for results in this crate.

@@ -53,6 +53,39 @@ impl DecisionContext {
     }
 }
 
+/// How the simulator's activation coin treats a state's probability `p`.
+///
+/// The coin draws nothing at the boundary probabilities, so only a
+/// fractional `p` costs a random draw. [`PolicyTable::run`] groups states
+/// into maximal runs of one class; the simulator walks a quiet or hot run
+/// in bulk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SlotClass {
+    /// `p` is not positive (`!(p > 0)`, so `-0.0` too): the sensor never
+    /// wants to activate.
+    Quiet,
+    /// `p ≥ 1`: the sensor always wants to activate.
+    Hot,
+    /// `0 < p < 1`: one coin per decision.
+    Mixed,
+}
+
+impl SlotClass {
+    /// The class of probability `p`, by the coin's own comparisons.
+    #[inline]
+    pub fn of(p: f64) -> Self {
+        if p > 0.0 {
+            if p >= 1.0 {
+                SlotClass::Hot
+            } else {
+                SlotClass::Mixed
+            }
+        } else {
+            SlotClass::Quiet
+        }
+    }
+}
+
 /// A policy's state-indexed activation probabilities compiled into a flat
 /// array, plus the constant probability shared by every state beyond it.
 ///
@@ -66,6 +99,9 @@ impl DecisionContext {
 pub struct PolicyTable {
     probs: Vec<f64>,
     tail: f64,
+    /// Per explicit state: the length of its class's run from there,
+    /// `u32::MAX` for a run that extends through the tail.
+    runs: Vec<(SlotClass, u32)>,
 }
 
 impl PolicyTable {
@@ -80,18 +116,36 @@ impl PolicyTable {
     pub const MAX_EXPLICIT_STATES: usize = 1 << 16;
 
     /// Builds a table mapping state `i` (1-based) to `probs[i - 1]` for
-    /// `i ≤ probs.len()` and to `tail` beyond.
+    /// `i ≤ probs.len()` and to `tail` beyond, and classifies its runs.
     ///
     /// # Panics
     ///
     /// Panics if any entry (or the tail) is not a probability in `[0, 1]`.
     pub fn new(probs: Vec<f64>, tail: f64) -> Self {
-        let valid = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
+        // The range check also rejects NaN and the infinities.
+        let valid = |p: f64| (0.0..=1.0).contains(&p);
+        // One pass back from the tail checks each entry and classifies it:
+        // a state continues the run after it when the classes agree.
+        // Finite lengths stop short of the sentinel.
+        let mut runs = vec![(SlotClass::Quiet, 0); probs.len()];
+        let mut all_valid = valid(tail);
+        let (mut class, mut len) = (SlotClass::of(tail), u32::MAX);
+        for (run, &p) in runs.iter_mut().zip(&probs).rev() {
+            all_valid &= valid(p);
+            let here = SlotClass::of(p);
+            len = if here == class {
+                len + u32::from(len < u32::MAX - 1)
+            } else {
+                1
+            };
+            class = here;
+            *run = (class, len);
+        }
         assert!(
-            probs.iter().all(|&p| valid(p)) && valid(tail),
+            all_valid,
             "policy table entries must be probabilities in [0, 1]"
         );
-        Self { probs, tail }
+        Self { probs, tail, runs }
     }
 
     /// The activation probability for state `i ≥ 1`.
@@ -105,26 +159,16 @@ impl PolicyTable {
         }
     }
 
-    /// Slice-in/slice-out batch lookup: `out[i] = probability(states[i])`.
-    ///
-    /// One bounds check against the explicit region per state and no call
-    /// overhead, for callers that look up many states at once.
-    /// Bit-identical to looping [`PolicyTable::probability`] by definition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
+    /// The run through state `i ≥ 1`: its [`SlotClass`] and how many
+    /// consecutive states from `i` on share it, `u64::MAX` when the run
+    /// extends through the tail and so never ends.
     #[inline]
-    pub fn fill_probabilities(&self, states: &[usize], out: &mut [f64]) {
-        assert_eq!(states.len(), out.len(), "state/probability lanes differ");
-        let n = self.probs.len();
-        for (slot, &state) in out.iter_mut().zip(states) {
-            debug_assert!(state >= 1, "states are 1-based");
-            *slot = if state <= n {
-                self.probs[state - 1]
-            } else {
-                self.tail
-            };
+    pub fn run(&self, state: usize) -> (SlotClass, u64) {
+        debug_assert!(state >= 1, "states are 1-based");
+        match self.runs.get(state.wrapping_sub(1)) {
+            Some(&(class, len)) if len < u32::MAX => (class, u64::from(len)),
+            Some(&(class, _)) => (class, u64::MAX),
+            None => (SlotClass::of(self.tail), u64::MAX),
         }
     }
 
@@ -239,21 +283,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookup_matches_scalar_lookup() {
-        let table = PolicyTable::new(vec![0.0, 0.5, 1.0], 0.25);
-        let states: Vec<usize> = vec![1, 2, 3, 4, 3, 1_000_000, 1];
-        let mut out = vec![f64::NAN; states.len()];
-        table.fill_probabilities(&states, &mut out);
-        for (&state, &p) in states.iter().zip(&out) {
-            assert_eq!(p, table.probability(state), "state {state}");
+    fn runs_group_states_by_class() {
+        let table = PolicyTable::new(vec![0.0, -0.0, 0.5, 0.25, 1.0, 1.0, 0.0, 1.0], 1.0);
+        let runs: Vec<_> = (1..=10).map(|i| table.run(i)).collect();
+        assert_eq!(
+            runs,
+            [
+                (SlotClass::Quiet, 2),
+                (SlotClass::Quiet, 1),
+                (SlotClass::Mixed, 2),
+                (SlotClass::Mixed, 1),
+                (SlotClass::Hot, 2),
+                (SlotClass::Hot, 1),
+                (SlotClass::Quiet, 1),
+                // The last explicit run continues through the hot tail.
+                (SlotClass::Hot, u64::MAX),
+                (SlotClass::Hot, u64::MAX),
+                (SlotClass::Hot, u64::MAX),
+            ]
+        );
+        // Every class agrees with the probability it was computed from.
+        for i in 1..=10 {
+            assert_eq!(table.run(i).0, SlotClass::of(table.probability(i)));
         }
-        // Empty lanes are a no-op, and mismatched lanes panic.
-        table.fill_probabilities(&[], &mut []);
-        assert!(std::panic::catch_unwind(|| {
-            let mut short = [0.0];
-            table.fill_probabilities(&[1, 2], &mut short);
-        })
-        .is_err());
+        let ends_short = PolicyTable::new(vec![1.0], 0.5);
+        assert_eq!(ends_short.run(1), (SlotClass::Hot, 1));
+        assert_eq!(ends_short.run(2), (SlotClass::Mixed, u64::MAX));
+        assert_eq!(
+            PolicyTable::new(Vec::new(), 0.0).run(1),
+            (SlotClass::Quiet, u64::MAX)
+        );
     }
 
     #[test]

@@ -32,6 +32,11 @@ pub struct SlotOutcome {
 /// Hook order within one slot mirrors the engine's phase order:
 /// `on_recharge_overflow*` → (`on_outage` | `on_forced_idle`)* →
 /// (`on_capture` | `on_miss`)? → `on_battery_levels`? → `on_slot`.
+///
+/// Every observer gets every hook of every slot unless it turns off
+/// [`wants_every_slot`](Observer::wants_every_slot), which only
+/// [`NullObserver`] does: its runs may skip the hooks of the slots the
+/// engine walks in bulk (runs of a policy table's quiet and hot states).
 pub trait Observer {
     /// Called once per completed slot with the flattened outcome.
     #[inline]
@@ -81,6 +86,15 @@ pub trait Observer {
         false
     }
 
+    /// Whether the engine must deliver the hooks of every slot. Returning
+    /// `false` lets it walk runs of slots in bulk, between events, without
+    /// calling `on_slot`, `on_recharge_overflow` or `on_forced_idle` for
+    /// them; only an observer that ignores those hooks may do so.
+    #[inline]
+    fn wants_every_slot(&self) -> bool {
+        true
+    }
+
     /// Per-sensor battery fill fractions (in `[0, 1]`) at the end of a slot.
     /// Only called when [`wants_battery_levels`](Observer::wants_battery_levels)
     /// returns `true`.
@@ -94,11 +108,17 @@ pub trait Observer {
 ///
 /// The engine is generic over its observer, so runs through `NullObserver`
 /// monomorphize every hook to an empty inline body — the instrumented loop
-/// is the uninstrumented loop.
+/// is the uninstrumented loop — and, as it wants no slot's hooks, walk
+/// quiet and hot runs in bulk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullObserver;
 
-impl Observer for NullObserver {}
+impl Observer for NullObserver {
+    #[inline]
+    fn wants_every_slot(&self) -> bool {
+        false
+    }
+}
 
 impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
@@ -128,6 +148,10 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     #[inline]
     fn wants_battery_levels(&self) -> bool {
         (**self).wants_battery_levels()
+    }
+    #[inline]
+    fn wants_every_slot(&self) -> bool {
+        (**self).wants_every_slot()
     }
     #[inline]
     fn on_battery_levels(&mut self, slot: u64, fractions: &[f64]) {
@@ -181,6 +205,7 @@ mod tests {
         null.on_recharge_overflow(5, 0, 0.5);
         null.on_battery_levels(6, &[0.5]);
         assert!(!null.wants_battery_levels());
+        assert!(!null.wants_every_slot());
     }
 
     #[test]
@@ -189,6 +214,9 @@ mod tests {
         {
             let fwd: &mut Counting = &mut counting;
             assert!(fwd.wants_battery_levels());
+            assert!(fwd.wants_every_slot());
+            let null: &mut dyn Observer = &mut NullObserver;
+            assert!(!null.wants_every_slot());
             fwd.on_capture(1, 0, 1);
             fwd.on_miss(2);
             fwd.on_slot(&SlotOutcome {

@@ -10,14 +10,20 @@
 //! integers whose arithmetic is exact without saturating, a one-sensor
 //! run holds its lane by value and compiles its loop for its own recharge
 //! kind, and configuration branches (outages, round-robin ownership) are
-//! hoisted out of the slot loop.
+//! hoisted out of the slot loop. Inside a stretch, a run without observer
+//! hooks or outages walks its policy table's quiet and hot runs in bulk
+//! ([`Run::runs`]).
 
-use evcap_core::{ActivationPolicy, DecisionContext, InfoModel, PolicyTable, SlotAssignment};
+use std::ops::Range;
+
+use evcap_core::{
+    ActivationPolicy, DecisionContext, InfoModel, PolicyTable, SlotAssignment, SlotClass,
+};
 use evcap_dist::SlotPmf;
 use evcap_energy::{Battery, ConsumptionModel, Energy, RechargeKind, RechargeProcess};
 use evcap_obs::{timing, NullObserver, Observer, SlotOutcome};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::events::EventSchedule;
 use crate::metrics::{BatterySample, SensorStats, SimReport, TraceRecord};
@@ -37,6 +43,10 @@ pub type RechargeFactory<'f> = dyn FnMut(usize) -> Box<dyn RechargeProcess> + 'f
 /// path carries no dispatch residue.
 pub(crate) trait ProbSource {
     fn probability(&self, ctx: &DecisionContext) -> f64;
+
+    /// The table whose runs the slot loop may walk in bulk: none for a
+    /// policy that reads the slot context.
+    fn table(&self) -> Option<&PolicyTable>;
 }
 
 pub(crate) struct TableProb<'p>(pub &'p PolicyTable);
@@ -45,6 +55,11 @@ impl ProbSource for TableProb<'_> {
     #[inline]
     fn probability(&self, ctx: &DecisionContext) -> f64 {
         self.0.probability(ctx.state)
+    }
+
+    #[inline]
+    fn table(&self) -> Option<&PolicyTable> {
+        Some(self.0)
     }
 }
 
@@ -55,13 +70,27 @@ impl ProbSource for DynProb<'_> {
     fn probability(&self, ctx: &DecisionContext) -> f64 {
         self.0.probability(ctx)
     }
+
+    #[inline]
+    fn table(&self) -> Option<&PolicyTable> {
+        None
+    }
 }
 
 /// The activation coin: no RNG draw at the boundary probabilities, exactly
-/// one `f64` draw strictly inside `(0, 1)`.
+/// one `f64` draw strictly inside `(0, 1)`. [`SlotClass::of`] classifies
+/// by the same comparisons.
 #[inline(always)]
 fn coin_wants(p: f64, rng: &mut SmallRng) -> bool {
     p > 0.0 && (p >= 1.0 || rng.random::<f64>() < p)
+}
+
+/// The integer form of `random::<f64>() < q`: the draw is `m·2^-53` for
+/// `m = next_u64() >> 11`, and both it and `q·2^53` are exact, so `u < q`
+/// exactly when `m < ⌈q·2^53⌉`. A `q` outside `[0, 1]`, or NaN, saturates
+/// to never (0) or always (at least `2^53`), as the float comparison does.
+fn bernoulli_threshold(q: f64) -> u64 {
+    (q * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// [`Battery::fill_fraction`] on a raw level.
@@ -366,20 +395,33 @@ impl<'a> Simulation<'a> {
         };
         let report = if self.sensors == 1 {
             match Harvest::classify(make_recharge(0)) {
-                Harvest::Bernoulli(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
-                Harvest::Constant(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
-                Harvest::Periodic(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
-                Harvest::Uniform(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
-                Harvest::Opaque(harvest) => run.slot_loop(Sensor { lane, harvest }, observer),
+                Harvest::Bernoulli(harvest) => run.slot_loop(Sensor::new(lane, harvest), observer),
+                Harvest::Constant(harvest) => run.slot_loop(Sensor::new(lane, harvest), observer),
+                Harvest::Periodic(harvest) => run.slot_loop(Sensor::new(lane, harvest), observer),
+                Harvest::Uniform(harvest) => run.slot_loop(Sensor::new(lane, harvest), observer),
+                Harvest::Opaque(harvest) => run.slot_loop(Sensor::new(lane, harvest), observer),
             }
         } else {
             let fleet: Vec<Sensor<Harvest>> = (0..self.sensors)
-                .map(|s| Sensor {
-                    lane,
-                    harvest: Harvest::classify(make_recharge(s)),
-                })
+                .map(|s| Sensor::new(lane, Harvest::classify(make_recharge(s))))
                 .collect();
-            run.slot_loop(fleet, observer)
+            // The paper's fleets recharge by Bernoulli: give them their own
+            // loop, as a one-sensor run gets one per kind.
+            if fleet
+                .iter()
+                .all(|s| matches!(s.harvest, Harvest::Bernoulli(_)))
+            {
+                let fleet: Vec<Sensor<Bernoulli>> = fleet
+                    .into_iter()
+                    .filter_map(|s| match s.harvest {
+                        Harvest::Bernoulli(harvest) => Some(Sensor::new(s.lane, harvest)),
+                        _ => None,
+                    })
+                    .collect();
+                run.slot_loop(fleet, observer)
+            } else {
+                run.slot_loop(fleet, observer)
+            }
         };
         timing::add_count("sim.slots", self.slots);
         Ok(report)
@@ -481,17 +523,65 @@ impl Lane {
     }
 }
 
-/// How a lane's recharge is delivered each slot. The slot loop is
-/// monomorphized over it: a one-sensor run compiles its loop for its own
-/// process's kind, a fleet dispatches per lane through [`Harvest`].
+/// How a lane's recharge is delivered. The slot loop is monomorphized over
+/// it: a one-sensor run compiles its loop for its own process's kind, a
+/// fleet of Bernoulli processes for that kind, and any other fleet
+/// dispatches per lane through [`Harvest`].
+///
+/// Each closed kind states its delivery once, as [`Deliver::draw`]; a
+/// slot's recharge absorbs a draw, and a closed kind's quiet run (nothing
+/// spends) absorbs the sum of its draws once, or a closed form of it. With
+/// nothing spent the level only rises, so for deliveries `a_i ≥ 0`
+/// clamping at `K` slot by slot equals `min(K, level + Σ a_i)`. The sum
+/// saturates instead of wrapping, and `K − level ≤ i64::MAX`, so the clamp
+/// stays exact.
 trait Deliver {
+    /// The next slot's delivery in milli-units, drawing what the process's
+    /// own `next` would draw.
+    fn draw(&mut self, rng: &mut SmallRng) -> i64;
+
     /// Delivers the next slot's recharge into `lane`; returns the overflow
     /// in milli-units.
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64;
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        lane.absorb(self.draw(rng), capacity)
+    }
+
+    /// Delivers `n` slots' recharge into `lane`, which spends nothing
+    /// meanwhile: slot by slot, unless the kind absorbs them at once.
+    #[inline(always)]
+    fn quiet(&mut self, lane: &mut Lane, n: u64, capacity: i64, rng: &mut SmallRng) {
+        for _ in 0..n {
+            self.recharge(lane, capacity, rng);
+        }
+    }
+
+    /// One slot of a fleet's quiet run: the delivery joins `pending`, which
+    /// the lane absorbs once the run ends.
+    #[inline(always)]
+    fn accrue(&mut self, _lane: &mut Lane, pending: &mut i64, _capacity: i64, rng: &mut SmallRng) {
+        *pending = pending.saturating_add(self.draw(rng));
+    }
 
     /// The exact `(absorbed, overflow)` totals after `slots` slots, for a
     /// lane whose level balance (final − initial + spent) is `balance`.
     fn totals(&self, slots: u64, balance: i128) -> (i128, i128);
+}
+
+/// The saturating sum of the next `n` draws.
+#[inline(always)]
+fn summed(harvest: &mut impl Deliver, n: u64, rng: &mut SmallRng) -> i64 {
+    let mut sum = 0i64;
+    for _ in 0..n {
+        sum = sum.saturating_add(harvest.draw(rng));
+    }
+    sum
+}
+
+/// A count as a saturating multiplier: `c·n` then clamps exactly as a
+/// saturating sum of `n` non-negative `c` would.
+fn times(n: u64) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 /// A closed-form process's totals: what the level's balance says it
@@ -500,22 +590,40 @@ fn closed_form_totals(delivered: i128, balance: i128) -> (i128, i128) {
     (balance, delivered - balance)
 }
 
-/// `c` milli-units with probability `q` per slot.
+/// `c` milli-units with probability `q` per slot, drawn against the
+/// integer threshold `⌈q·2^53⌉` ([`bernoulli_threshold`]).
 struct Bernoulli {
-    q: f64,
+    threshold: u64,
     c: i64,
     hits: u64,
 }
 
+impl Bernoulli {
+    #[inline(always)]
+    fn hit(&self, rng: &mut SmallRng) -> bool {
+        (rng.next_u64() >> 11) < self.threshold
+    }
+}
+
 impl Deliver for Bernoulli {
     #[inline(always)]
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
-        // One f64 per slot, hit or miss. The hit selects the amount
+    fn draw(&mut self, rng: &mut SmallRng) -> i64 {
+        // One draw per slot, hit or miss. The hit selects the amount
         // without a branch: at `q` near 1/2 a branch would mispredict
         // every other slot.
-        let hit = rng.random::<f64>() < self.q;
+        let hit = self.hit(rng);
         self.hits += u64::from(hit);
-        lane.absorb(std::hint::select_unpredictable(hit, self.c, 0), capacity)
+        std::hint::select_unpredictable(hit, self.c, 0)
+    }
+
+    #[inline(always)]
+    fn quiet(&mut self, lane: &mut Lane, n: u64, capacity: i64, rng: &mut SmallRng) {
+        let mut hits = 0u64;
+        for _ in 0..n {
+            hits += u64::from(self.hit(rng));
+        }
+        self.hits += hits;
+        lane.absorb(self.c.saturating_mul(times(hits)), capacity);
     }
 
     fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
@@ -531,8 +639,13 @@ struct Constant {
 
 impl Deliver for Constant {
     #[inline(always)]
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, _rng: &mut SmallRng) -> i64 {
-        lane.absorb(self.rate, capacity)
+    fn draw(&mut self, _rng: &mut SmallRng) -> i64 {
+        self.rate
+    }
+
+    #[inline(always)]
+    fn quiet(&mut self, lane: &mut Lane, n: u64, capacity: i64, _rng: &mut SmallRng) {
+        lane.absorb(self.rate.saturating_mul(times(n)), capacity);
     }
 
     fn totals(&self, slots: u64, balance: i128) -> (i128, i128) {
@@ -550,16 +663,34 @@ struct Periodic {
 
 impl Deliver for Periodic {
     #[inline(always)]
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, _rng: &mut SmallRng) -> i64 {
+    fn draw(&mut self, _rng: &mut SmallRng) -> i64 {
         self.phase += 1;
-        let amount = if self.phase == self.period {
+        if self.phase == self.period {
             self.phase = 0;
             self.lumps += 1;
             self.amount
         } else {
             0
+        }
+    }
+
+    #[inline(always)]
+    fn quiet(&mut self, lane: &mut Lane, n: u64, capacity: i64, rng: &mut SmallRng) {
+        // `n` slots from a phase inside the period complete `(phase + n) /
+        // period` lumps. A kind whose phase is not inside its period
+        // (`RechargeKind` is public) steps slot by slot instead.
+        let sum = if self.phase < self.period {
+            let period = u64::from(self.period);
+            let reached = u64::from(self.phase) + n;
+            let lumps = reached / period;
+            // The remainder is below the `u32` period.
+            self.phase = (reached % period) as u32;
+            self.lumps += lumps;
+            self.amount.saturating_mul(times(lumps))
+        } else {
+            summed(self, n, rng)
         };
-        lane.absorb(amount, capacity)
+        lane.absorb(sum, capacity);
     }
 
     fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
@@ -577,10 +708,16 @@ struct Uniform {
 
 impl Deliver for Uniform {
     #[inline(always)]
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+    fn draw(&mut self, rng: &mut SmallRng) -> i64 {
         let amount = rng.random_range(self.lo..=self.hi);
         self.drawn += i128::from(amount);
-        lane.absorb(amount, capacity)
+        amount
+    }
+
+    #[inline(always)]
+    fn quiet(&mut self, lane: &mut Lane, n: u64, capacity: i64, rng: &mut SmallRng) {
+        let sum = summed(self, n, rng);
+        lane.absorb(sum, capacity);
     }
 
     fn totals(&self, _slots: u64, balance: i128) -> (i128, i128) {
@@ -589,7 +726,9 @@ impl Deliver for Uniform {
 }
 
 /// A process without a closed form: the boxed `next` call, absorbed in
-/// `Energy`'s saturating arithmetic step by step, with its own totals.
+/// `Energy`'s saturating arithmetic step by step, with its own totals. Its
+/// deliveries may be negative and its lane may sit below zero, so it never
+/// goes through [`Lane::absorb`]: its quiet runs, too, go slot by slot.
 struct Opaque {
     process: Box<dyn RechargeProcess>,
     /// The absorbed total, saturating at each step like `Energy`'s sums.
@@ -600,13 +739,19 @@ struct Opaque {
 
 impl Deliver for Opaque {
     #[inline(always)]
-    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+    fn draw(&mut self, rng: &mut SmallRng) -> i64 {
         // The trait object draws from a copy of the stream, so the
         // kernel's own generator never has its address taken and can stay
         // in registers.
         let mut stream = rng.clone();
         let amount = self.process.next(&mut stream).as_millis();
         *rng = stream;
+        amount
+    }
+
+    #[inline(always)]
+    fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
+        let amount = self.draw(rng);
         let absorbed = amount.min(capacity.saturating_sub(lane.level));
         lane.level = lane.level.saturating_add(absorbed);
         let overflow = amount.saturating_sub(absorbed);
@@ -615,6 +760,11 @@ impl Deliver for Opaque {
             .saturating_add(amount.saturating_sub(overflow));
         self.overflow += i128::from(overflow);
         overflow
+    }
+
+    #[inline(always)]
+    fn accrue(&mut self, lane: &mut Lane, _pending: &mut i64, capacity: i64, rng: &mut SmallRng) {
+        self.recharge(lane, capacity, rng);
     }
 
     fn totals(&self, _slots: u64, _balance: i128) -> (i128, i128) {
@@ -640,7 +790,7 @@ impl Harvest {
         match process.kind() {
             RechargeKind::Bernoulli { q, c } if c >= Energy::ZERO => {
                 Harvest::Bernoulli(Bernoulli {
-                    q,
+                    threshold: bernoulli_threshold(q),
                     c: c.as_millis(),
                     hits: 0,
                 })
@@ -676,6 +826,17 @@ impl Harvest {
 
 impl Deliver for Harvest {
     #[inline(always)]
+    fn draw(&mut self, rng: &mut SmallRng) -> i64 {
+        match self {
+            Harvest::Bernoulli(h) => h.draw(rng),
+            Harvest::Constant(h) => h.draw(rng),
+            Harvest::Periodic(h) => h.draw(rng),
+            Harvest::Uniform(h) => h.draw(rng),
+            Harvest::Opaque(h) => h.draw(rng),
+        }
+    }
+
+    #[inline(always)]
     fn recharge(&mut self, lane: &mut Lane, capacity: i64, rng: &mut SmallRng) -> i64 {
         match self {
             Harvest::Bernoulli(h) => h.recharge(lane, capacity, rng),
@@ -683,6 +844,17 @@ impl Deliver for Harvest {
             Harvest::Periodic(h) => h.recharge(lane, capacity, rng),
             Harvest::Uniform(h) => h.recharge(lane, capacity, rng),
             Harvest::Opaque(h) => h.recharge(lane, capacity, rng),
+        }
+    }
+
+    #[inline(always)]
+    fn accrue(&mut self, lane: &mut Lane, pending: &mut i64, capacity: i64, rng: &mut SmallRng) {
+        match self {
+            Harvest::Bernoulli(h) => h.accrue(lane, pending, capacity, rng),
+            Harvest::Constant(h) => h.accrue(lane, pending, capacity, rng),
+            Harvest::Periodic(h) => h.accrue(lane, pending, capacity, rng),
+            Harvest::Uniform(h) => h.accrue(lane, pending, capacity, rng),
+            Harvest::Opaque(h) => h.accrue(lane, pending, capacity, rng),
         }
     }
 
@@ -697,10 +869,22 @@ impl Deliver for Harvest {
     }
 }
 
-/// One sensor: its lane and its recharge.
+/// One sensor: its lane, its recharge, and the delivery of a fleet's quiet
+/// run that the lane has yet to absorb.
 struct Sensor<D> {
     lane: Lane,
     harvest: D,
+    pending: i64,
+}
+
+impl<D> Sensor<D> {
+    fn new(lane: Lane, harvest: D) -> Self {
+        Self {
+            lane,
+            harvest,
+            pending: 0,
+        }
+    }
 }
 
 /// Where a run keeps its sensors: a one-sensor run holds its [`Sensor`]
@@ -718,6 +902,10 @@ trait Sensors {
 
     /// Sensor `s`'s lane.
     fn lane(&self, s: usize) -> &Lane;
+
+    /// `n` slots in which no sensor spends: every sensor recharges, slot by
+    /// slot in sensor order from the one stream, and absorbs once.
+    fn quiet(&mut self, n: u64, capacity: i64, rng: &mut SmallRng);
 }
 
 impl<D: Deliver> Sensors for Sensor<D> {
@@ -737,10 +925,15 @@ impl<D: Deliver> Sensors for Sensor<D> {
     fn lane(&self, _s: usize) -> &Lane {
         &self.lane
     }
+
+    #[inline(always)]
+    fn quiet(&mut self, n: u64, capacity: i64, rng: &mut SmallRng) {
+        self.harvest.quiet(&mut self.lane, n, capacity, rng);
+    }
 }
 
-impl Sensors for Vec<Sensor<Harvest>> {
-    type Harvest = Harvest;
+impl<D: Deliver> Sensors for Vec<Sensor<D>> {
+    type Harvest = D;
 
     #[inline(always)]
     fn count(&self) -> usize {
@@ -748,7 +941,7 @@ impl Sensors for Vec<Sensor<Harvest>> {
     }
 
     #[inline(always)]
-    fn sensor(&mut self, s: usize) -> (&mut Lane, &mut Harvest) {
+    fn sensor(&mut self, s: usize) -> (&mut Lane, &mut D) {
         let sensor = &mut self[s];
         (&mut sensor.lane, &mut sensor.harvest)
     }
@@ -756,6 +949,27 @@ impl Sensors for Vec<Sensor<Harvest>> {
     #[inline(always)]
     fn lane(&self, s: usize) -> &Lane {
         &self[s].lane
+    }
+
+    #[inline(always)]
+    fn quiet(&mut self, n: u64, capacity: i64, rng: &mut SmallRng) {
+        for _ in 0..n {
+            for sensor in self.iter_mut() {
+                let Sensor {
+                    lane,
+                    harvest,
+                    pending,
+                } = sensor;
+                harvest.accrue(lane, pending, capacity, rng);
+            }
+        }
+        for sensor in self.iter_mut() {
+            // An opaque lane accrues nothing: it recharged slot by slot.
+            let pending = std::mem::take(&mut sensor.pending);
+            if pending > 0 {
+                sensor.lane.absorb(pending, capacity);
+            }
+        }
     }
 }
 
@@ -806,9 +1020,11 @@ impl<P: ProbSource> Run<'_, P> {
     /// a decision: an event, a battery sample, a traced slot, or the
     /// horizon. Inside it no capture can happen, so every information
     /// state `t − since` is a counter and the age of information rises by
-    /// one per slot. The slots before the last run [`Run::slot`] and the
-    /// per-slot observer hooks only; the last one also settles the event,
-    /// its statistics, and the stretch's ages (a run of consecutive
+    /// one per slot. The slots before the last only recharge and decide:
+    /// run by run over the policy table ([`Run::runs`]) when the table,
+    /// the observer and the outage plan allow, else slot by slot through
+    /// [`Run::slot`] and the per-slot hooks. The last one also settles the
+    /// event, its statistics, and the stretch's ages (a run of consecutive
     /// integers, summed in closed form). The warm-up only bounds that sum
     /// and decides whether the closing event counts.
     ///
@@ -828,6 +1044,12 @@ impl<P: ProbSource> Run<'_, P> {
         });
         let mut trace = Vec::with_capacity(sim.trace_slots.min(4096));
         let mut battery_trace = Vec::new();
+        // Runs skip the per-slot hooks and outage checks, so only a run
+        // that needs neither takes them.
+        let runs = self
+            .prob
+            .table()
+            .filter(|_| !observer.wants_every_slot() && sim.outages.is_empty());
 
         // The paper anchors the process with an event at slot 0; all
         // information states start there.
@@ -857,9 +1079,14 @@ impl<P: ProbSource> Run<'_, P> {
                 next_event.min(next_sample).min(horizon)
             };
             debug_assert!(first <= last && last <= horizon);
-            for t in first..last {
-                let (outcome, _) = self.slot(t, &mut sensors, &mut walk, false, observer);
-                self.close_slot(&outcome, &sensors, &mut levels, observer);
+            match runs {
+                Some(table) => self.runs(first..last, table, &mut sensors, &mut walk, observer),
+                None => {
+                    for t in first..last {
+                        let (outcome, _) = self.slot(t, &mut sensors, &mut walk, false, observer);
+                        self.close_slot(&outcome, &sensors, &mut levels, observer);
+                    }
+                }
             }
             let (mut outcome, record) = self.slot(last, &mut sensors, &mut walk, tracing, observer);
 
@@ -954,6 +1181,136 @@ impl<P: ProbSource> Run<'_, P> {
         }
     }
 
+    /// Slots `range` of a stretch, run by run over `table`'s classes
+    /// ([`PolicyTable::run`]); the information states rise by one per
+    /// slot, so a class holds for its run's length. The coin draws nothing
+    /// at `p ≤ 0` or `p ≥ 1`, so the stream carries only the recharges'
+    /// draws there, in the same order:
+    ///
+    /// - a quiet run only recharges, in bulk ([`Sensors::quiet`]);
+    /// - a hot run recharges and spends `δ1` wherever the level allows,
+    ///   with no table lookup and no coin;
+    /// - mixed slots recharge and decide through [`Run::slot`].
+    #[inline(always)]
+    fn runs<S: Sensors, O: Observer>(
+        &self,
+        range: Range<u64>,
+        table: &PolicyTable,
+        sensors: &mut S,
+        walk: &mut Walk,
+        observer: &mut O,
+    ) {
+        let mut t = range.start;
+        while t < range.end {
+            let (class, len) = self.run_at(t, table, sensors, walk);
+            let end = t + len.min(range.end - t);
+            match class {
+                SlotClass::Quiet => {
+                    sensors.quiet(end - t, self.capacity, &mut walk.rng);
+                    // Round-robin ownership passes the slots nobody acted in.
+                    if let Coordination::Rotating(SlotAssignment::RoundRobin) =
+                        self.sim.coordination
+                    {
+                        let count = self.sim.sensors as u64;
+                        let passed = (end - t) % count;
+                        walk.round_robin = ((walk.round_robin as u64 + passed) % count) as usize;
+                    }
+                }
+                SlotClass::Hot => {
+                    for t in t..end {
+                        self.recharge(t, sensors, &mut walk.rng, observer);
+                        match self.sim.coordination {
+                            Coordination::Rotating(assignment) => {
+                                let owner = self.owner(t, assignment, walk);
+                                let (lane, _) = sensors.sensor(owner);
+                                self.act(lane, true);
+                            }
+                            Coordination::Independent => {
+                                for s in 0..sensors.count() {
+                                    let (lane, _) = sensors.sensor(s);
+                                    self.act(lane, true);
+                                }
+                            }
+                        }
+                    }
+                }
+                SlotClass::Mixed => {
+                    for t in t..end {
+                        self.slot(t, sensors, walk, false, observer);
+                    }
+                }
+            }
+            t = end;
+        }
+    }
+
+    /// The class of slot `t` and how many slots from `t` on keep it: the
+    /// deciding sensors' common class, mixed where they differ, over the
+    /// shortest of their runs. Only an independent fleet under partial
+    /// information decides from more than one state.
+    #[inline(always)]
+    fn run_at<S: Sensors>(
+        &self,
+        t: u64,
+        table: &PolicyTable,
+        sensors: &S,
+        walk: &Walk,
+    ) -> (SlotClass, u64) {
+        let state = |since: u64| (t - since) as usize;
+        match (self.sim.coordination, self.info) {
+            (Coordination::Independent, InfoModel::Partial) => {
+                let (mut class, mut len) = table.run(state(sensors.lane(0).own_last_capture));
+                for s in 1..sensors.count() {
+                    let (other, other_len) = table.run(state(sensors.lane(s).own_last_capture));
+                    if other != class {
+                        class = SlotClass::Mixed;
+                    }
+                    len = len.min(other_len);
+                }
+                (class, len)
+            }
+            (_, InfoModel::Full) => table.run(state(walk.last_event)),
+            (Coordination::Rotating(_), InfoModel::Partial) => table.run(state(walk.last_capture)),
+        }
+    }
+
+    /// Every sensor recharges, in sensor order from the one RNG stream
+    /// (harvesting continues through outages, as a supercapacitor's would).
+    #[inline(always)]
+    fn recharge<S: Sensors, O: Observer>(
+        &self,
+        t: u64,
+        sensors: &mut S,
+        rng: &mut SmallRng,
+        observer: &mut O,
+    ) {
+        for s in 0..sensors.count() {
+            let (lane, harvest) = sensors.sensor(s);
+            let overflow = harvest.recharge(lane, self.capacity, rng);
+            if overflow > 0 {
+                let lost = Energy::from_millis(overflow).as_units();
+                observer.on_recharge_overflow(t, s, lost);
+            }
+        }
+    }
+
+    /// The sensor in charge of slot `t` under `assignment`: round-robin
+    /// ownership advances a counter instead of taking a per-slot modulo.
+    #[inline(always)]
+    fn owner(&self, t: u64, assignment: SlotAssignment, walk: &mut Walk) -> usize {
+        match assignment {
+            SlotAssignment::RoundRobin => {
+                let owner = walk.round_robin;
+                walk.round_robin += 1;
+                if walk.round_robin == self.sim.sensors {
+                    walk.round_robin = 0;
+                }
+                owner
+            }
+            other => other.owner(t, self.sim.sensors),
+        }
+    }
+
     /// One slot's first two phases: every sensor recharges (in sensor
     /// order, drawing from the one RNG stream), then the deciding
     /// sensor(s) act (the activation coin draws after the recharges).
@@ -981,32 +1338,14 @@ impl<P: ProbSource> Run<'_, P> {
         };
         let mut record = None;
 
-        // 1. Recharge every sensor (harvesting continues through outages,
-        //    as a supercapacitor's would).
-        for s in 0..sensors.count() {
-            let (lane, harvest) = sensors.sensor(s);
-            let overflow = harvest.recharge(lane, self.capacity, &mut walk.rng);
-            if overflow > 0 {
-                let lost = Energy::from_millis(overflow).as_units();
-                observer.on_recharge_overflow(t, s, lost);
-            }
-        }
+        // 1. Recharge every sensor.
+        self.recharge(t, sensors, &mut walk.rng, observer);
 
         // 2. The deciding sensor(s) act.
         let has_outages = !sim.outages.is_empty();
         match sim.coordination {
             Coordination::Rotating(assignment) => {
-                let owner = match assignment {
-                    SlotAssignment::RoundRobin => {
-                        let owner = walk.round_robin;
-                        walk.round_robin += 1;
-                        if walk.round_robin == sim.sensors {
-                            walk.round_robin = 0;
-                        }
-                        owner
-                    }
-                    other => other.owner(t, sim.sensors),
-                };
+                let owner = self.owner(t, assignment, walk);
                 outcome.owner = owner;
                 let (lane, _) = sensors.sensor(owner);
                 if has_outages && sim.outages.is_down(owner, t) {
@@ -1096,16 +1435,24 @@ impl<P: ProbSource> Run<'_, P> {
         });
         debug_assert!((0.0..=1.0).contains(&p), "policy returned {p}");
         let wanted = coin_wants(p, rng);
-        let feasible = lane.level >= self.threshold;
-        if wanted && !feasible {
+        if wanted && lane.level < self.threshold {
             observer.on_forced_idle(t, s, battery_fraction);
         }
+        (wanted, self.act(lane, wanted))
+    }
+
+    /// A sensor acts on its wish: it activates, spending `δ1`, when it
+    /// wants to and holds the threshold `δ1 + δ2` (which covers `δ1`); a
+    /// wish it cannot afford is a forced idle. Returns whether it
+    /// activated.
+    #[inline(always)]
+    fn act(&self, lane: &mut Lane, wanted: bool) -> bool {
+        let feasible = lane.level >= self.threshold;
         lane.forced_idle += u64::from(wanted && !feasible);
-        // The threshold `δ1 + δ2` covers `δ1`.
         let active = wanted && feasible;
         lane.level -= std::hint::select_unpredictable(active, self.d1, 0);
         lane.activations += u64::from(active);
-        (wanted, active)
+        active
     }
 
     /// The observer hooks that close slot `outcome.slot`.
@@ -1644,6 +1991,50 @@ mod tests {
             let fast = sim.clone().run(policy, &mut bernoulli(0.4, 1.0)).unwrap();
             let slow = sim.run(&NoTable(policy), &mut bernoulli(0.4, 1.0)).unwrap();
             assert_eq!(fast, slow, "{}", policy.label());
+        }
+    }
+
+    #[test]
+    fn bernoulli_threshold_matches_the_float_draw() {
+        /// Yields one fixed word, so `random::<f64>()` reads `m·2^-53`.
+        struct Fixed(u64);
+        impl RngCore for Fixed {
+            fn next_u32(&mut self) -> u32 {
+                (self.0 >> 32) as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let top = 1u64 << 53;
+        let qs = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            1.0 / top as f64,
+            0.5 / top as f64,
+            1.5 / top as f64,
+            0.1,
+            0.5,
+            1.0 / 3.0,
+            1.0 - 1.0 / top as f64,
+            1.0,
+            1.5,
+            -0.25,
+            f64::NAN,
+        ];
+        for q in qs {
+            let threshold = bernoulli_threshold(q);
+            for m in [threshold.wrapping_sub(1), threshold, 0, top - 1] {
+                if m >= top {
+                    continue;
+                }
+                // The low 11 bits never reach the draw.
+                for low in [0, 0x7ff] {
+                    let float = Fixed(m << 11 | low).random::<f64>() < q;
+                    assert_eq!(m < threshold, float, "q = {q:e}, m = {m}");
+                }
+            }
         }
     }
 

@@ -35,6 +35,10 @@ impl OutagePlan {
 
     /// Builds a plan from explicit windows.
     ///
+    /// Overlapping windows of one sensor are merged into one window that
+    /// covers them all, so a sensor is down in a slot exactly when some
+    /// given window contains it.
+    ///
     /// # Panics
     ///
     /// Panics if any window has `from == 0` or `from > to`.
@@ -44,6 +48,15 @@ impl OutagePlan {
             assert!(w.from <= w.to, "outage window is inverted: {w:?}");
         }
         windows.sort_by_key(|w| (w.sensor, w.from));
+        // Sorted by start, a window overlaps the sensor's windows before it
+        // exactly when it starts within the last merged one.
+        windows.dedup_by(|next, merged| {
+            let overlaps = next.sensor == merged.sensor && next.from <= merged.to;
+            if overlaps {
+                merged.to = merged.to.max(next.to);
+            }
+            overlaps
+        });
         Self { windows }
     }
 
@@ -84,14 +97,16 @@ impl OutagePlan {
         self.windows.is_empty()
     }
 
-    /// The windows, sorted by `(sensor, from)`.
+    /// The windows, sorted by `(sensor, from)`; one sensor's windows are
+    /// disjoint, since [`OutagePlan::from_windows`] merges overlaps.
     pub fn windows(&self) -> &[OutageWindow] {
         &self.windows
     }
 
     /// Whether `sensor` is offline in `slot`. O(log n) per query.
     pub fn is_down(&self, sensor: usize, slot: u64) -> bool {
-        // Find the last window for this sensor starting at or before `slot`.
+        // Find the last window for this sensor starting at or before `slot`;
+        // the sensor's windows are disjoint, so no earlier one contains it.
         let idx = self
             .windows
             .partition_point(|w| (w.sensor, w.from) <= (sensor, slot));
@@ -150,6 +165,36 @@ mod tests {
         assert!(plan.is_down(0, 6));
         assert!(!plan.is_down(0, 20));
         assert!(plan.is_down(0, 35));
+    }
+
+    #[test]
+    fn overlapping_windows_merge() {
+        let window = |from, to| OutageWindow {
+            sensor: 0,
+            from,
+            to,
+        };
+        // A window nested inside a longer one used to hide the rest of it.
+        let plan = OutagePlan::from_windows(vec![window(1, 100), window(10, 20)]);
+        assert!(plan.is_down(0, 15));
+        assert!(plan.is_down(0, 50));
+        assert!(plan.is_down(0, 100));
+        assert!(!plan.is_down(0, 101));
+        assert_eq!(plan.windows(), [window(1, 100)]);
+        // Chains of overlaps merge; touching and other sensors' windows do not.
+        let other = OutageWindow {
+            sensor: 1,
+            from: 5,
+            to: 8,
+        };
+        let plan = OutagePlan::from_windows(vec![
+            window(30, 40),
+            other,
+            window(5, 12),
+            window(41, 45),
+            window(12, 30),
+        ]);
+        assert_eq!(plan.windows(), [window(5, 40), window(41, 45), other]);
     }
 
     #[test]

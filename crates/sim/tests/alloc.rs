@@ -1,6 +1,8 @@
 //! Proves the slot kernel's steady-state loop is allocation-free, through a
 //! batch and through single runs: a table policy on one sensor and on a
-//! rotating fleet, and an observed run. All per-run scratch (lanes,
+//! rotating fleet, an observed run, and runs that walk quiet and hot runs
+//! in bulk (an all-Bernoulli fleet, a periodic one-sensor run). All per-run
+//! scratch (lanes,
 //! recharge classification, trace and observer buffers) is set up before
 //! slot 1, so the total allocation count of a run is independent of the
 //! slot count — a 4× longer run over the same event schedule allocates as
@@ -17,7 +19,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use evcap_core::{ActivationPolicy, AggressivePolicy, ClusteringPolicy, SlotAssignment};
 use evcap_dist::{Discretizer, SlotPmf, Weibull};
-use evcap_energy::{BernoulliRecharge, Energy, RechargeProcess};
+use evcap_energy::{BernoulliRecharge, Energy, PeriodicRecharge, RechargeProcess};
 use evcap_obs::{Observer, SlotOutcome};
 use evcap_sim::{BatchReport, EventSchedule, ReplicationBatch, SimReport, Simulation};
 
@@ -63,6 +65,10 @@ fn weibull_pmf() -> SlotPmf {
 
 fn bernoulli(_: usize) -> Box<dyn RechargeProcess> {
     Box::new(BernoulliRecharge::new(0.5, Energy::from_units(1.0)).unwrap())
+}
+
+fn periodic(_: usize) -> Box<dyn RechargeProcess> {
+    Box::new(PeriodicRecharge::new(Energy::from_units(5.0), 10).unwrap())
 }
 
 /// Runs the batch on a shared schedule at one worker (the sequential path —
@@ -241,4 +247,28 @@ fn single_runs_allocate_nothing_per_slot() {
         report
     };
     assert_flat_in_slots("observed, two sensors", &pmf, base.sensors(2), observed);
+}
+
+#[test]
+fn bulk_runs_allocate_nothing_per_slot() {
+    let _turn = serial();
+    let pmf = weibull_pmf();
+    // Quiet in states 1–19 and 46–79, hot in 21–44 and from 80 on.
+    let clustering = ClusteringPolicy::new(20, 45, 80, 0.5, 0.5, 1.0).unwrap();
+    let base = Simulation::builder(&pmf)
+        .seed(11)
+        .battery(Energy::from_units(200.0));
+    let fleet = base
+        .clone()
+        .sensors(4)
+        .assignment(SlotAssignment::RoundRobin);
+    assert_flat_in_slots(
+        "four rotating Bernoulli sensors",
+        &pmf,
+        fleet,
+        |sim, schedule| sim.run_on(schedule, &clustering, &mut bernoulli).unwrap(),
+    );
+    assert_flat_in_slots("one periodic sensor", &pmf, base, |sim, schedule| {
+        sim.run_on(schedule, &clustering, &mut periodic).unwrap()
+    });
 }
