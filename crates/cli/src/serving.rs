@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use evcap_bench::perf;
 use evcap_serve::{client::Conn, server::ServeConfig, signal, Server};
-use evcap_sim::parallel::parallel_map;
+use evcap_sim::parallel::parallel_map_with;
 
 use crate::args::{Args, ArgsError};
 
@@ -74,11 +74,11 @@ pub fn serve(args: &Args) -> CmdResult {
         std::thread::sleep(Duration::from_millis(25));
     }
     eprintln!("signal received, draining");
-    let stats = server.solve_cache_stats();
+    let stats = server.artifact_cache_stats();
     let recent = server.recent_requests();
     server.shutdown();
     eprintln!(
-        "solve cache: {} hits, {} misses, {} coalesced, {} evictions",
+        "artifact cache: {} hits, {} misses, {} coalesced, {} evictions",
         stats.hits, stats.misses, stats.coalesced, stats.evictions
     );
     // The flight recorder's tail: one line per retained request, oldest
@@ -126,14 +126,12 @@ pub fn loadgen(args: &Args) -> CmdResult {
     };
 
     // Workers are I/O-bound connection loops, so oversubscribing cores is
-    // the point: pin `parallel_map`'s pool to the requested concurrency.
-    let saved_threads = std::env::var("EVCAP_THREADS").ok();
-    std::env::set_var("EVCAP_THREADS", concurrency.to_string());
+    // the point: one thread per share, so each owns one connection.
     let shares: Vec<u64> = (0..concurrency as u64)
         .map(|w| requests / concurrency as u64 + u64::from(w < requests % concurrency as u64))
         .collect();
     let wall = Instant::now(); // deepcheck:allow(instant-now): loadgen measures request latency directly
-    let per_worker = parallel_map(shares, |share| {
+    let per_worker = parallel_map_with(shares, Some(concurrency), |share| {
         let mut samples: Vec<u64> = Vec::with_capacity(share as usize);
         let mut errors = 0u64;
         let mut conn = match Conn::connect(addr, timeout) {
@@ -164,10 +162,6 @@ pub fn loadgen(args: &Args) -> CmdResult {
         (samples, errors)
     });
     let wall_seconds = wall.elapsed().as_secs_f64();
-    match saved_threads {
-        Some(v) => std::env::set_var("EVCAP_THREADS", v),
-        None => std::env::remove_var("EVCAP_THREADS"),
-    }
 
     let mut samples: Vec<u64> = Vec::with_capacity(requests as usize);
     let mut errors = 0u64;

@@ -7,7 +7,7 @@
 //! or drive the simulation engine with it (`/v1/simulate`).
 //!
 //! Handlers return the serialized JSON response body (a `String`) so the
-//! response cache can store bodies directly — a cache hit replays bytes
+//! server's caches can store bodies directly — a cache hit replays bytes
 //! without re-serializing, and hit/miss bodies are identical by
 //! construction.
 

@@ -7,14 +7,14 @@
 //! crate is std-only — the HTTP server ([`server`]), client ([`client`]),
 //! and JSON layer (via `evcap-obs`) use nothing outside the workspace.
 //!
-//! The hot path is the [`cache`] module, used in two tiers. Responses are
-//! cached in a sharded LRU keyed by the *canonicalized* scenario (see
-//! [`scenario`] and `evcap_spec::canonical_dist`), and in front of the
-//! compute sits a second sharded cache of `evcap_spec::SolvedPolicy`
-//! artifacts keyed by `Scenario::canonical_key()` — so `/v1/simulate`
-//! requests varying only in slots/seed/replications, and `/v1/solve` for
-//! the same scenario, share one clustering/LP solve. Both tiers collapse
-//! concurrent requests for the same uncached key into a single
+//! The hot path is the [`cache`] module, used in two tiers keyed by the
+//! *canonicalized* scenario (see [`scenario`]). The artifact tier holds
+//! each `evcap_spec::SolvedPolicy` under `Scenario::canonical_key()`, with
+//! its `/v1/solve` body rendered once beside it; `/v1/solve` answers from
+//! there. In front of it, a response tier holds `/v1/simulate` bodies, so
+//! simulations varying only in slots/seed/replications, and `/v1/solve`
+//! for the same scenario, share one clustering/LP solve. Both tiers
+//! collapse concurrent requests for the same uncached key into a single
 //! computation ("single-flight" coalescing) — N clients asking for the
 //! same Weibull policy cost one LP solve, not N.
 

@@ -51,11 +51,22 @@ pub struct Metrics {
     /// counter (same endpoints, same caches), so this is the one place it
     /// stays distinguishable.
     objective_requests: [AtomicU64; 3],
+    /// `/v1/solve` artifact fetches by outcome, indexed like [`SOLVE_FETCHES`].
+    solve_fetches: [AtomicU64; 4],
     /// All requests, wire-to-wire.
     pub latency: LatencyHistogram,
-    /// Cache-miss solves only (the compute itself).
+    /// Artifact computes on either route: a certified store load or a fresh solve.
     pub solve_latency: LatencyHistogram,
 }
+
+/// Each `/v1/solve` fetch outcome (`x-evcap-cache` label) and its `/metrics`
+/// field. A coalescing timeout counts in `coalesce_timeouts` instead.
+const SOLVE_FETCHES: [(&str, &str); 4] = [
+    ("hit", "solve_cache_hits"),
+    ("miss", "solve_cache_misses"),
+    ("coalesced", "solve_cache_coalesced"),
+    ("failed", "solve_cache_failures"),
+];
 
 impl Metrics {
     /// Fresh metrics; `started` anchors the uptime field.
@@ -77,6 +88,7 @@ impl Metrics {
             store_rejects: AtomicU64::new(0),
             store_appends: AtomicU64::new(0),
             objective_requests: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            solve_fetches: Default::default(),
             latency: LatencyHistogram::new(),
             solve_latency: LatencyHistogram::new(),
         }
@@ -108,6 +120,14 @@ impl Metrics {
     pub fn objective_request(&self, objective: Objective) {
         // deepcheck:allow(panic-path): Objective::index() is a dense enum index; the array is sized to match
         self.objective_requests[objective.index()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one `/v1/solve` artifact fetch under its cache label.
+    pub fn solve_fetch(&self, label: &str) {
+        let slot = SOLVE_FETCHES.iter().position(|(l, _)| *l == label);
+        if let Some(counter) = slot.and_then(|i| self.solve_fetches.get(i)) {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records one accepted connection.
@@ -143,11 +163,10 @@ impl Metrics {
     }
 
     /// Renders the `/metrics` body given each cache tier's counters: the
-    /// two response caches, the `SolvedPolicy` artifact cache, and the
-    /// persistent store tier's size gauges.
+    /// simulate response cache, the artifact cache, and the persistent
+    /// store tier's size gauges.
     pub fn render(
         &self,
-        solve_cache: &StatsSnapshot,
         sim_cache: &StatsSnapshot,
         artifact_cache: &StatsSnapshot,
         store: &StoreSnapshot,
@@ -170,11 +189,9 @@ impl Metrics {
             obj.field_u64(&field, get(counter));
         }
 
-        obj.field_u64("solve_cache_hits", solve_cache.hits);
-        obj.field_u64("solve_cache_misses", solve_cache.misses);
-        obj.field_u64("solve_cache_coalesced", solve_cache.coalesced);
-        obj.field_u64("solve_cache_evictions", solve_cache.evictions);
-        obj.field_u64("solve_cache_failures", solve_cache.failures);
+        for ((_, field), counter) in SOLVE_FETCHES.iter().zip(&self.solve_fetches) {
+            obj.field_u64(field, get(counter));
+        }
         obj.field_u64("sim_cache_hits", sim_cache.hits);
         obj.field_u64("sim_cache_misses", sim_cache.misses);
         obj.field_u64("sim_cache_coalesced", sim_cache.coalesced);
@@ -210,7 +227,7 @@ impl Metrics {
 
     /// Renders the Prometheus text exposition (version 0.0.4) of the same
     /// counters, plus per-shard gauges for every cache tier. `tiers` pairs
-    /// a tier name (`solve`, `sim`, `artifact`) with its shard snapshots.
+    /// a tier name (`sim`, `artifact`) with its shard snapshots.
     pub fn render_prometheus(
         &self,
         tiers: &[(&str, Vec<ShardSnapshot>)],
@@ -378,7 +395,7 @@ mod tests {
             entries: 3,
             bytes: 4096,
         };
-        let body = m.render(&empty, &empty, &empty, &store);
+        let body = m.render(&empty, &empty, &store);
         let v = parse_line(&body).unwrap();
         let f = |k: &str| v.get(k).and_then(JsonValue::as_f64).unwrap();
         assert_eq!(v.get("type").and_then(JsonValue::as_str), Some("metrics"));
@@ -480,7 +497,7 @@ mod tests {
         assert_eq!(f("evcap_store_bytes", &[]), 2048.0);
         // Consistency with the JSON body (same atomics, same instant).
         let empty = StatsSnapshot::default();
-        let json = parse_line(&m.render(&empty, &empty, &empty, &store)).unwrap();
+        let json = parse_line(&m.render(&empty, &empty, &store)).unwrap();
         assert_eq!(
             json.get("requests").and_then(JsonValue::as_f64),
             Some(f("evcap_requests_total", &[]))

@@ -4,8 +4,8 @@
 //! simulation-only knobs: slots, seed, coordination, replications).
 //! Canonicalization happens inside the scenario layer, before any cache is
 //! consulted, so `{"dist":"exponential:0.050"}` and `{"dist":"exp:0.05"}`
-//! produce the same [`SolveScenario::cache_key`] — and the same
-//! [`evcap_spec::Scenario::canonical_key`] for the artifact cache — and
+//! produce the same [`evcap_spec::Scenario::canonical_key`] — the
+//! artifact cache's key, which is also [`SolveScenario::cache_key`] — and
 //! share one cached solution.
 //!
 //! All failures are [`ApiError`]s: an HTTP status plus a machine-readable
@@ -80,15 +80,13 @@ pub const MAX_REPLICATIONS: usize = 64;
 
 /// A validated `/v1/solve` request: a canonical scenario.
 ///
-/// Both cache identities are computed once at parse time, so the serve
-/// hot path (a response-cache hit) borrows precomputed strings instead of
-/// re-deriving `canonical_key` per request.
+/// Its one cache identity, the artifact key, is computed once at parse
+/// time, so the serve hot path (an artifact-cache hit) borrows a
+/// precomputed string instead of re-deriving `canonical_key` per request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveScenario {
     /// The canonical scenario to solve.
     pub scenario: Scenario,
-    /// Precomputed response-cache key (`solve|<canonical_key>`).
-    cache_key: String,
     /// Precomputed artifact identity (`Scenario::canonical_key`).
     artifact_key: String,
 }
@@ -300,19 +298,17 @@ impl SolveScenario {
         let _canon = evcap_obs::timing::span("req.canonicalize");
         let scenario = scenario_from(&map)?;
         let artifact_key = scenario.canonical_key();
-        let cache_key = format!("solve|{artifact_key}");
         Ok(Self {
             scenario,
-            cache_key,
             artifact_key,
         })
     }
 
-    /// The canonical cache key: two requests get the same key iff they
-    /// describe the same optimization. Borrowed — computed once at parse
-    /// time, so cache hits allocate nothing for the lookup.
+    /// The canonical cache key, [`Self::artifact_key`]: two requests get the
+    /// same key iff they describe the same optimization. Borrowed — computed
+    /// once at parse time, so cache hits allocate nothing for the lookup.
     pub fn cache_key(&self) -> &str {
-        &self.cache_key
+        &self.artifact_key
     }
 
     /// The scenario's artifact identity ([`Scenario::canonical_key`]),

@@ -15,13 +15,13 @@
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use evcap_obs::trace::TraceRecord;
 use evcap_obs::{FlightRecorder, JsonObject, JsonlSink, RequestSample};
-use evcap_spec::SolvedPolicy;
+use evcap_spec::{Scenario, SolvedPolicy};
 
 use crate::cache::{Fetch, ShardedCache};
 use crate::handlers;
@@ -37,9 +37,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads (= peak concurrent connections).
     pub threads: usize,
-    /// Total cached responses per cache (solve and simulate each get one).
+    /// Entries per cache tier (simulate responses; artifacts with solve bodies).
     pub cache_cap: usize,
-    /// Lock shards per cache.
+    /// Lock shards per cache tier.
     pub shards: usize,
     /// Request framing limits.
     pub limits: Limits,
@@ -96,18 +96,23 @@ impl Default for ServeConfig {
     }
 }
 
+/// One artifact-tier entry: a solved policy and its `/v1/solve` body, a
+/// function of the key rendered at most once per residency.
+struct Artifact {
+    solved: SolvedPolicy,
+    solve_body: OnceLock<String>,
+}
+
 /// State shared by every worker.
 struct Shared {
     config: ServeConfig,
     metrics: Metrics,
-    solve_cache: ShardedCache<String, ApiError>,
     sim_cache: ShardedCache<String, ApiError>,
-    /// Second cache tier: `SolvedPolicy` artifacts keyed by
-    /// `Scenario::canonical_key()`. Response-cache misses that share a
-    /// scenario (e.g. `/v1/simulate` varying only in slots/seed, or a
-    /// `/v1/solve` for the same physics) share one clustering/LP solve.
-    artifact_cache: ShardedCache<Arc<SolvedPolicy>, ApiError>,
-    /// Third cache tier: the persistent on-disk artifact store
+    /// Solved artifacts keyed by `Scenario::canonical_key()`. `/v1/solve`
+    /// answers from here, and every `/v1/simulate` miss of one scenario
+    /// (e.g. varying only in slots/seed) shares one clustering/LP solve.
+    artifact_cache: ShardedCache<Arc<Artifact>, ApiError>,
+    /// Behind the artifact tier: the persistent on-disk artifact store
     /// (`--store`). A mutex is fine here — the disk tier is only consulted
     /// on artifact-cache misses, which already coalesce to one leader.
     store: Option<Mutex<evcap_store::Store>>,
@@ -152,7 +157,6 @@ impl Server {
         };
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
-            solve_cache: ShardedCache::new(config.cache_cap, config.shards),
             sim_cache: ShardedCache::new(config.cache_cap, config.shards),
             artifact_cache: ShardedCache::new(config.cache_cap, config.shards),
             store,
@@ -181,11 +185,6 @@ impl Server {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Counters for the solve cache.
-    pub fn solve_cache_stats(&self) -> crate::cache::StatsSnapshot {
-        self.shared.solve_cache.stats()
     }
 
     /// Counters for the `SolvedPolicy` artifact cache.
@@ -660,7 +659,6 @@ fn route(request: &Request, shared: &Shared) -> Routed {
             let store = store_snapshot(shared);
             if wants_prometheus(request) {
                 let tiers = vec![
-                    ("solve", shared.solve_cache.shard_snapshots()),
                     ("sim", shared.sim_cache.shard_snapshots()),
                     ("artifact", shared.artifact_cache.shard_snapshots()),
                 ];
@@ -671,7 +669,6 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                 )
             } else {
                 let body = shared.metrics.render(
-                    &shared.solve_cache.stats(),
                     &shared.sim_cache.stats(),
                     &shared.artifact_cache.stats(),
                     &store,
@@ -685,19 +682,14 @@ fn route(request: &Request, shared: &Shared) -> Routed {
             Ok(s) => {
                 let objective = s.scenario.objective();
                 shared.metrics.objective_request(objective);
-                let fetch = shared.solve_cache.get_or_compute(
-                    s.cache_key(),
-                    shared.config.coalesce_timeout,
-                    || {
-                        let t = Instant::now(); // deepcheck:allow(instant-now): access-log latency stamp
-                        let result = artifact(shared, &s.scenario, s.artifact_key())
-                            .map(|a| handlers::render_solve(&s, &a));
-                        shared.metrics.solve_latency.observe(t.elapsed());
-                        result
-                    },
-                );
-                evcap_obs::trace::mark("cache.solve", fetch.label());
-                render_fetch(fetch, shared).with_objective(objective)
+                let fetch = artifact(shared, &s.scenario, s.artifact_key());
+                shared.metrics.solve_fetch(fetch.label());
+                render_fetch(fetch, shared, |a| {
+                    a.solve_body
+                        .get_or_init(|| handlers::render_solve(&s, &a.solved))
+                        .clone()
+                })
+                .with_objective(objective)
             }
         },
         ("POST", "/v1/simulate") => {
@@ -710,12 +702,13 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                         s.cache_key(),
                         shared.config.coalesce_timeout,
                         || {
-                            let a = artifact(shared, &s.scenario, s.artifact_key())?;
-                            handlers::simulate(&s, &a)
+                            let a =
+                                fetched(artifact(shared, &s.scenario, s.artifact_key()), shared)?;
+                            handlers::simulate(&s, &a.solved)
                         },
                     );
                     evcap_obs::trace::mark("cache.sim", fetch.label());
-                    render_fetch(fetch, shared).with_objective(objective)
+                    render_fetch(fetch, shared, |body| body).with_objective(objective)
                 }
             }
         }
@@ -762,11 +755,7 @@ fn store_snapshot(shared: &Shared) -> crate::metrics::StoreSnapshot {
 /// `evcap_audit::certify` — a stale, corrupt, or tampered record is
 /// counted as a reject and the caller falls back to a fresh solve. Never
 /// panics, never serves unverified bytes.
-fn store_load(
-    shared: &Shared,
-    scenario: &evcap_spec::Scenario,
-    key: &str,
-) -> Option<Arc<SolvedPolicy>> {
+fn store_load(shared: &Shared, scenario: &Scenario, key: &str) -> Option<SolvedPolicy> {
     let store = shared.store.as_ref()?;
     let loaded = {
         // deepcheck:allow(lock-blocking): the store mutex serializes artifact file I/O by design; the in-memory cache tiers absorb the hot path
@@ -778,7 +767,7 @@ fn store_load(
             Ok(_) => {
                 shared.metrics.store_hit();
                 evcap_obs::trace::mark("store.tier", "hit");
-                Some(Arc::new(solved))
+                Some(solved)
             }
             Err(_) => {
                 shared.metrics.store_reject();
@@ -812,76 +801,80 @@ fn store_append(shared: &Shared, solved: &SolvedPolicy) {
     }
 }
 
-/// Fetches (or computes, single-flight) the `SolvedPolicy` artifact for a
-/// canonical scenario. Both endpoints' response-cache computes run through
-/// here, so `/v1/solve` and every `/v1/simulate` variation of one scenario
-/// share one clustering/LP solve.
+/// Fetches (or computes, single-flight) the artifact for a canonical
+/// scenario. Both routes run through here: `/v1/solve` answers from the
+/// fetched entry, and every `/v1/simulate` miss of one scenario shares its
+/// clustering/LP solve.
 ///
 /// With `--store` the lookup is three-tiered: hot in-memory LRU → disk
 /// store (certified loads only, see [`store_load`]) → fresh solve (written
-/// through to disk).
-fn artifact(
-    shared: &Shared,
-    scenario: &evcap_spec::Scenario,
-    key: &str,
-) -> Result<Arc<SolvedPolicy>, ApiError> {
+/// through to disk). `Metrics::solve_latency` times that compute.
+fn artifact(shared: &Shared, scenario: &Scenario, key: &str) -> Fetch<Arc<Artifact>, ApiError> {
     let fetch = shared
         .artifact_cache
         .get_or_compute(key, shared.config.coalesce_timeout, || {
-            if let Some(stored) = store_load(shared, scenario, key) {
-                return Ok(stored);
-            }
-            let solved = handlers::solve_artifact(scenario)?;
-            if shared.config.validate_artifacts {
-                let report = evcap_audit::audit(scenario, &solved);
-                if !report.is_clean() {
-                    let named: Vec<String> = report
-                        .violations()
-                        .map(|c| format!("{}: {}", c.invariant, c.detail))
-                        .collect();
-                    // A Failed fetch is never cached, so a rejected
-                    // artifact cannot poison either cache tier.
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "artifact_rejected",
-                        message: format!("artifact failed certification ({})", named.join("; ")),
-                    });
-                }
-            }
-            let solved = Arc::new(solved);
-            store_append(shared, &solved);
-            Ok(solved)
+            let t = Instant::now(); // deepcheck:allow(instant-now): artifact compute latency stamp
+            let solved = store_load(shared, scenario, key)
+                .map_or_else(|| fresh_artifact(shared, scenario), Ok);
+            shared.metrics.solve_latency.observe(t.elapsed());
+            let solve_body = OnceLock::new();
+            solved.map(|solved| Arc::new(Artifact { solved, solve_body }))
         });
     evcap_obs::trace::mark("cache.artifact", fetch.label());
+    fetch
+}
+
+/// A fresh solve, audited under `--validate`, then written through to the
+/// store.
+fn fresh_artifact(shared: &Shared, scenario: &Scenario) -> Result<SolvedPolicy, ApiError> {
+    let solved = handlers::solve_artifact(scenario)?;
+    if shared.config.validate_artifacts {
+        let report = evcap_audit::audit(scenario, &solved);
+        if !report.is_clean() {
+            let named: Vec<String> = report
+                .violations()
+                .map(|c| format!("{}: {}", c.invariant, c.detail))
+                .collect();
+            // A Failed fetch is never cached, so a rejected artifact
+            // cannot poison either cache tier.
+            return Err(ApiError {
+                status: 500,
+                kind: "artifact_rejected",
+                message: format!("artifact failed certification ({})", named.join("; ")),
+            });
+        }
+    }
+    store_append(shared, &solved);
+    Ok(solved)
+}
+
+/// The value a fetch carries, or the error to answer with. A waiter that
+/// gave up on its leader is counted and answers 503.
+fn fetched<V>(fetch: Fetch<V, ApiError>, shared: &Shared) -> Result<V, ApiError> {
     match fetch {
-        Fetch::Hit(a) | Fetch::Computed(a) | Fetch::Coalesced(a) => Ok(a),
+        Fetch::Hit(v) | Fetch::Computed(v) | Fetch::Coalesced(v) => Ok(v),
         Fetch::Failed(e) => Err(e),
         Fetch::TimedOut => {
             shared.metrics.timeout();
             Err(ApiError {
                 status: 503,
                 kind: "coalesce_timeout",
-                message: "timed out waiting for an in-flight solve".to_owned(),
+                message: "timed out waiting for an in-flight computation".to_owned(),
             })
         }
     }
 }
 
-fn render_fetch(fetch: Fetch<String, ApiError>, shared: &Shared) -> Routed {
+/// Answers a fetch with `body` of its value, or with its error, tagged
+/// with the fetch's cache disposition.
+fn render_fetch<V>(
+    fetch: Fetch<V, ApiError>,
+    shared: &Shared,
+    body: impl FnOnce(V) -> String,
+) -> Routed {
     let label = fetch.label();
-    match fetch {
-        Fetch::Hit(body) | Fetch::Computed(body) | Fetch::Coalesced(body) => {
-            Routed::json(200, body, label)
-        }
-        Fetch::Failed(e) => Routed::json(e.status, e.body(), label),
-        Fetch::TimedOut => {
-            shared.metrics.timeout();
-            let err = ApiError {
-                status: 503,
-                kind: "coalesce_timeout",
-                message: "timed out waiting for an in-flight computation".to_owned(),
-            };
-            Routed::json(503, err.body(), label)
-        }
+    match fetched(fetch, shared) {
+        Ok(v) => Routed::json(200, body(v), label),
+        Err(e) => Routed::json(e.status, e.body(), label),
     }
 }

@@ -65,9 +65,6 @@ fn cache_key_lookups_allocate_nothing_after_parse() {
     // The borrowed keys are stable (same bytes, same address) across
     // calls — precomputed once at parse time.
     assert_eq!(solve.cache_key().as_ptr(), solve.cache_key().as_ptr());
-    assert_eq!(
-        solve.cache_key(),
-        format!("solve|{}", solve.scenario.canonical_key())
-    );
+    assert_eq!(solve.cache_key(), solve.scenario.canonical_key());
     assert_eq!(sim.artifact_key(), sim.scenario.canonical_key());
 }

@@ -85,12 +85,12 @@ fn simulate_and_solve_share_one_artifact_per_scenario() {
     assert_eq!(metric(&server, "artifact_cache_misses"), 1.0);
     assert_eq!(metric(&server, "artifact_cache_hits"), 1.0);
 
-    // `/v1/solve` for the same scenario is a response-cache miss (different
-    // endpoint prefix) but reuses the cached artifact: still one solve.
+    // `/v1/solve` for the same scenario answers from the cached artifact:
+    // an artifact-cache hit, and still one solve.
     let solve = br#"{"dist":"weibull:40,3","e":0.2,"policy":"clustering","horizon":4096}"#;
     let third = conn.request("POST", "/v1/solve", solve).unwrap();
     assert_eq!(third.status, 200, "{}", third.text());
-    assert_eq!(third.cache.as_deref(), Some("miss"));
+    assert_eq!(third.cache.as_deref(), Some("hit"));
     assert_eq!(metric(&server, "artifact_cache_misses"), 1.0);
     assert_eq!(metric(&server, "artifact_cache_hits"), 2.0);
 

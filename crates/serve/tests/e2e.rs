@@ -367,9 +367,9 @@ fn prometheus_exposition_round_trips_and_matches_json() {
         Some(2.0)
     );
 
-    // Both cache tiers expose per-shard series; the solve tier's hit
+    // Both cache tiers expose per-shard series; the artifact tier's hit
     // counters sum to the one hit above, and every shard reports capacity.
-    for cache in ["solve", "sim"] {
+    for cache in ["artifact", "sim"] {
         let mut hits = 0.0;
         for shard in 0..4 {
             let labels = [("cache", cache), ("shard", &shard.to_string())];
@@ -377,7 +377,7 @@ fn prometheus_exposition_round_trips_and_matches_json() {
                 .unwrap_or_else(|| panic!("missing hits for {cache}/{shard}"));
             assert!(prometheus::find(&samples, "evcap_cache_capacity", &labels[..]).unwrap() > 0.0);
         }
-        assert_eq!(hits, if cache == "solve" { 1.0 } else { 0.0 });
+        assert_eq!(hits, if cache == "artifact" { 1.0 } else { 0.0 });
     }
 
     // Histogram buckets are cumulative and terminate at `+Inf` == `_count`.
@@ -477,8 +477,8 @@ fn trace_tree_in_the_access_log_is_single_rooted() {
     // The cache marks annotate their tier outcome.
     let mark = spans
         .iter()
-        .find(|s| str_of(s, "name").as_deref() == Some("cache.solve"))
-        .expect("cache.solve mark");
+        .find(|s| str_of(s, "name").as_deref() == Some("cache.artifact"))
+        .expect("cache.artifact mark");
     assert_eq!(str_of(mark, "label").as_deref(), Some("miss"));
 
     let _ = std::fs::remove_file(&log);

@@ -7,8 +7,8 @@
 //! batch layer's sequential reduction deterministic under any thread count.
 //!
 //! This lives in `evcap-sim` (the bottom of the simulation stack) so the
-//! batch engine can use it; `evcap_bench::parallel` re-exports it for the
-//! figure runners and the serving load generator.
+//! batch engine can use it; the figure runners, `solve-fleet` and the
+//! serving load generator call it from here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -17,9 +17,9 @@ use std::sync::{Mutex, PoisonError};
 /// the item count), returning results in the input order.
 ///
 /// The thread count defaults to the machine's available parallelism; the
-/// `EVCAP_THREADS` environment variable overrides it (in either direction:
-/// CI pins worker counts deterministically, and I/O-bound callers like
-/// `evcap loadgen` oversubscribe cores with connection-per-thread workers).
+/// `EVCAP_THREADS` environment variable overrides it in either direction,
+/// so CI can pin worker counts deterministically. Callers that need a
+/// fixed count pass it to [`parallel_map_with`] instead.
 ///
 /// Workers claim *chunks* of contiguous indices rather than single items,
 /// so cheap per-item closures amortize the claim over several items while
@@ -64,7 +64,7 @@ pub fn resolved_threads(threads: Option<usize>) -> usize {
 /// `threads: Some(n)` bypasses both the machine default and the
 /// `EVCAP_THREADS` override — callers that must pin parallelism without
 /// touching process-global environment (e.g. thread-invariance tests, the
-/// `bench-sim` sweep) pass it directly. `None` behaves like
+/// `bench-sim` sweep, `evcap loadgen`) pass it directly. `None` behaves like
 /// [`parallel_map`].
 ///
 /// # Panics

@@ -422,6 +422,7 @@ fn workspace_config() -> Config {
             // Per-request bookkeeping: counters, histogram, trace marks.
             "serve::Metrics::request".into(),
             "serve::Metrics::objective_request".into(),
+            "serve::Metrics::solve_fetch".into(),
             // The cache-hit lookup machinery.
             "serve::Lru::get".into(),
             "serve::Lru::peek".into(),

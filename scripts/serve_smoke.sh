@@ -54,8 +54,11 @@ grep -q '"solve_cache_misses":1' "$OUT/metrics.json" || fail "metrics missing th
 curl -sf "http://$ADDR/metrics?format=prometheus" > "$OUT/metrics.prom"
 grep -q '^# TYPE evcap_requests_total counter' "$OUT/metrics.prom" \
   || fail "prometheus scrape missing the requests counter TYPE line"
-grep -q '^evcap_cache_hits_total{cache="solve",shard="' "$OUT/metrics.prom" \
-  || fail "prometheus scrape missing per-shard solve cache series"
+grep -q '^evcap_cache_hits_total{cache="artifact",shard="' "$OUT/metrics.prom" \
+  || fail "prometheus scrape missing per-shard artifact cache series"
+if grep -q 'cache="solve"' "$OUT/metrics.prom"; then
+  fail "prometheus scrape still carries a solve cache tier"
+fi
 grep -q '^evcap_request_latency_seconds_bucket{le="+Inf"}' "$OUT/metrics.prom" \
   || fail "prometheus scrape missing the +Inf histogram bucket"
 # The Accept header negotiates the same format; JSON stays the default.
