@@ -81,7 +81,7 @@ impl Objective {
 
     /// A stable small index (`qom = 0`, `aoi-mean = 1`, `aoi-peak = 2`) for
     /// counter arrays and the store's record tag.
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             Self::Qom => 0,
             Self::AoiMean => 1,

@@ -1,15 +1,19 @@
 //! The observer trait the simulation engine reports into.
 
 /// Everything that happened in one completed slot, flattened into scalars so
-//  the engine can pass it by value without touching the heap.
+/// the engine can pass it by value without touching the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotOutcome {
     /// Global slot index `t` (1-based).
     pub slot: u64,
     /// The deciding sensor for rotating coordination; for independent
-    /// coordination, the lowest-indexed sensor that activated (or 0).
+    /// coordination, the lowest-indexed sensor that activated, or 0 when
+    /// none did.
     pub owner: usize,
-    /// The information-state index the owner decided from (0 when down).
+    /// The information-state index `owner` decided from. It reads 0 when the
+    /// rotating owner was down, and in every independent slot where no
+    /// sensor activated: such a slot does not report the states its sensors
+    /// decided from.
     pub state: usize,
     /// Whether any sensor's policy voted to activate.
     pub wanted: bool,

@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
+use crate::metrics::Outcome;
+
 const NIL: usize = usize::MAX;
 
 struct Node<V> {
@@ -205,15 +207,20 @@ pub enum Fetch<V, E> {
 }
 
 impl<V, E> Fetch<V, E> {
+    /// How the request was satisfied, as the server counts and tags it.
+    pub fn outcome(&self) -> Outcome {
+        match self {
+            Fetch::Hit(_) => Outcome::Hit,
+            Fetch::Computed(_) => Outcome::Miss,
+            Fetch::Coalesced(_) => Outcome::Coalesced,
+            Fetch::Failed(_) => Outcome::Failed,
+            Fetch::TimedOut => Outcome::Timeout,
+        }
+    }
+
     /// The cache-disposition label used in response headers and logs.
     pub fn label(&self) -> &'static str {
-        match self {
-            Fetch::Hit(_) => "hit",
-            Fetch::Computed(_) => "miss",
-            Fetch::Coalesced(_) => "coalesced",
-            Fetch::Failed(_) => "failed",
-            Fetch::TimedOut => "timeout",
-        }
+        self.outcome().label()
     }
 }
 

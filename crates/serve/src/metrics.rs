@@ -1,23 +1,23 @@
-//! Server-wide counters and latency, rendered for `GET /metrics`.
-//!
-//! Everything is atomics plus two [`LatencyHistogram`]s, so the hot path
-//! never takes a lock to record a request. `/metrics` renders one flat JSON
-//! object (the same JSONL dialect every evcap tool emits), which the CI
-//! smoke test and the e2e suite parse with [`evcap_obs::parse_line`].
+//! Server-wide counters and latency for `GET /metrics`, each series declared
+//! once in `FAMILIES`, which [`Metrics::render`] (JSON) and
+//! [`Metrics::render_prometheus`] (text format 0.0.4) each walk once. It also
+//! owns the vocabularies a request resolves to once ([`Route`], [`Outcome`],
+//! the objective tag, [`STAGES`]) for the counters, the flight recorder and
+//! `/debug/recent`. Recording is relaxed atomic adds: no lock, no allocation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use evcap_obs::{JsonObject, LatencyHistogram};
 use evcap_spec::Objective;
 
-use crate::cache::{ShardSnapshot, StatsSnapshot};
+use crate::cache::ShardSnapshot;
 use crate::prometheus;
+use Source::{Cache, Counter, Histogram, Store, StoreEnabled, Timeouts, Uptime};
 
-/// A point-in-time view of the persistent artifact store (disk tier):
-/// size gauges read under the store lock at render time. The hit/miss/
-/// reject/append *counters* live in [`Metrics`] so the request path never
-/// touches the lock just to count.
+/// The persistent store tier's size gauges, read under the store lock at
+/// render time; its counters live in [`Metrics`], off the lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreSnapshot {
     /// Whether `--store` is configured at all.
@@ -28,339 +28,346 @@ pub struct StoreSnapshot {
     pub bytes: u64,
 }
 
-/// Atomic request/response counters plus latency histograms.
+/// The routes the server answers, in flight-recorder tag order (`route as
+/// u8`). Endpoint counters count a route whatever the method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    Solve,
+    Simulate,
+    Healthz,
+    Metrics,
+    Recent,
+    /// Every other path, counted only in the request total.
+    Other,
+}
+
+impl Route {
+    /// Every route in tag order, with its path.
+    const PATHS: [(Route, &'static str); 6] = [
+        (Route::Solve, "/v1/solve"),
+        (Route::Simulate, "/v1/simulate"),
+        (Route::Healthz, "/healthz"),
+        (Route::Metrics, "/metrics"),
+        (Route::Recent, "/debug/recent"),
+        (Route::Other, "other"),
+    ];
+
+    /// The route of `path`, a request target without its query.
+    pub fn of(path: &str) -> Route {
+        let found = Route::PATHS.iter().find(|(_, p)| *p == path);
+        found.map_or(Route::Other, |&(route, _)| route)
+    }
+
+    /// The path of the route a flight-recorder tag names.
+    pub fn path_of(tag: u8) -> &'static str {
+        Route::PATHS.get(usize::from(tag)).map_or("other", |r| r.1)
+    }
+}
+
+/// How a request's cache fetch ended, in flight-recorder tag order: its
+/// `x-evcap-cache` header, `/debug/recent` cache and solve-fetch label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    Hit,
+    Miss,
+    Coalesced,
+    Failed,
+    Timeout,
+    /// The route has no cache (and sends no `x-evcap-cache` header).
+    None,
+}
+
+impl Outcome {
+    /// Every outcome's label, in tag order.
+    const LABELS: [&'static str; 6] = ["hit", "miss", "coalesced", "failed", "timeout", "none"];
+
+    /// The outcome's label.
+    pub fn label(self) -> &'static str {
+        Outcome::label_of(self as u8)
+    }
+
+    /// The label of the outcome a flight-recorder tag names.
+    pub fn label_of(tag: u8) -> &'static str {
+        Outcome::LABELS.get(usize::from(tag)).map_or("none", |l| l)
+    }
+}
+
+/// A request's objective tag: 0 without a scenario, else its index + 1.
+pub fn objective_tag(objective: Option<Objective>) -> u8 {
+    objective.map_or(0, |o| o.index() as u8 + 1)
+}
+
+/// The label of an objective tag: the objective's name, or `none`.
+pub fn objective_label(tag: u8) -> &'static str {
+    let objective = usize::from(tag)
+        .checked_sub(1)
+        .and_then(Objective::from_index);
+    objective.map_or("none", Objective::name)
+}
+
+/// The solve stages the flight recorder breaks out per request, in
+/// `RequestSample::stage_us` order: span name and `/debug/recent` field.
+pub const STAGES: [(&str, &str); 5] = [
+    ("req.parse", "req_parse_us"),
+    ("req.canonicalize", "req_canonicalize_us"),
+    ("lp.solve", "lp_solve_us"),
+    ("clustering.search", "clustering_search_us"),
+    ("spec.table", "spec_table_us"),
+];
+
+/// Each cache tier's shard snapshots, indexed by [`SIM`] and [`ARTIFACT`].
+pub type Caches = [Vec<ShardSnapshot>; 2];
+/// The simulate response cache's index in [`Caches`].
+pub const SIM: usize = 0;
+/// The artifact cache's index in [`Caches`].
+pub const ARTIFACT: usize = 1;
+
+// Slots in `Metrics::counters`: single counters, then a run per vocabulary.
+const CONNECTIONS: usize = 0;
+const REQUESTS: usize = 1;
+const STORE_HITS: usize = 2;
+const STORE_MISSES: usize = 3;
+const STORE_REJECTS: usize = 4;
+const STORE_APPENDS: usize = 5;
+const ENDPOINTS: usize = 6; // + `Route as usize`, every route but `Other`
+const CLASSES: usize = ENDPOINTS + Route::Other as usize; // + 0 (2xx), 1 (4xx), 2 (the rest)
+const OBJECTIVES: usize = CLASSES + 3; // + `Objective::index()`
+const FETCHES: usize = OBJECTIVES + Objective::ALL.len(); // + `Outcome as usize`, `Hit` to `Failed`
+const COUNTERS: usize = FETCHES + Outcome::Timeout as usize;
+
+const REQUEST_LATENCY: usize = 0; // indices into `Metrics::histograms`
+const SOLVE_COMPUTE: usize = 1;
+
+/// Where a series reads its value: a float, as Prometheus and JSON readers
+/// hold it, except `store.enabled`, which JSON spells as a boolean.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Seconds since the server started.
+    Uptime,
+    Counter(usize),
+    /// A stat of a cache tier: summed in JSON, per shard in Prometheus.
+    Cache(usize, fn(&ShardSnapshot) -> u64),
+    /// Coalescing timeouts, which every cache shard counts itself.
+    Timeouts,
+    StoreEnabled,
+    Store(fn(&StoreSnapshot) -> u64),
+    /// A histogram reading; Prometheus writes the whole histogram instead.
+    Histogram(usize, fn(&LatencyHistogram) -> f64),
+}
+
+/// A series: its JSON field, its label value and its source.
+type Series = (&'static str, &'static str, Source);
+
+/// Every `/metrics` series, declared once, in exposition order: each
+/// Prometheus family's name, type and label name (empty for none), then each
+/// of its series.
+#[rustfmt::skip]
+const FAMILIES: [(&str, &str, &str, &[Series]); 24] = [
+    ("evcap_uptime_seconds", "gauge", "", &[("uptime_seconds", "", Uptime)]),
+    ("evcap_connections_total", "counter", "", &[("connections", "", Counter(CONNECTIONS))]),
+    ("evcap_requests_total", "counter", "", &[("requests", "", Counter(REQUESTS))]),
+    ("evcap_endpoint_requests_total", "counter", "endpoint", &[
+        ("solve_requests", "solve", Counter(ENDPOINTS + Route::Solve as usize)),
+        ("simulate_requests", "simulate", Counter(ENDPOINTS + Route::Simulate as usize)),
+        ("health_requests", "healthz", Counter(ENDPOINTS + Route::Healthz as usize)),
+        ("metrics_requests", "metrics", Counter(ENDPOINTS + Route::Metrics as usize)),
+        ("recent_requests", "recent", Counter(ENDPOINTS + Route::Recent as usize))]),
+    ("evcap_responses_total", "counter", "class", &[
+        ("responses_2xx", "2xx", Counter(CLASSES)),
+        ("responses_4xx", "4xx", Counter(CLASSES + 1)),
+        ("responses_5xx", "5xx", Counter(CLASSES + 2))]),
+    ("evcap_coalesce_timeouts_total", "counter", "", &[("coalesce_timeouts", "", Timeouts)]),
+    ("evcap_objective_requests_total", "counter", "objective", &[
+        ("objective_requests_qom", "qom", Counter(OBJECTIVES + Objective::Qom.index())),
+        ("objective_requests_aoi_mean", "aoi-mean", Counter(OBJECTIVES + Objective::AoiMean.index())),
+        ("objective_requests_aoi_peak", "aoi-peak", Counter(OBJECTIVES + Objective::AoiPeak.index()))]),
+    ("evcap_solve_fetches_total", "counter", "outcome", &[
+        ("solve_cache_hits", "hit", Counter(FETCHES + Outcome::Hit as usize)),
+        ("solve_cache_misses", "miss", Counter(FETCHES + Outcome::Miss as usize)),
+        ("solve_cache_coalesced", "coalesced", Counter(FETCHES + Outcome::Coalesced as usize)),
+        ("solve_cache_failures", "failed", Counter(FETCHES + Outcome::Failed as usize))]),
+    ("evcap_cache_hits_total", "counter", "cache", &[
+        ("sim_cache_hits", "sim", Cache(SIM, |s| s.stats.hits)),
+        ("artifact_cache_hits", "artifact", Cache(ARTIFACT, |s| s.stats.hits))]),
+    ("evcap_cache_misses_total", "counter", "cache", &[
+        ("sim_cache_misses", "sim", Cache(SIM, |s| s.stats.misses)),
+        ("artifact_cache_misses", "artifact", Cache(ARTIFACT, |s| s.stats.misses))]),
+    ("evcap_cache_coalesced_total", "counter", "cache", &[
+        ("sim_cache_coalesced", "sim", Cache(SIM, |s| s.stats.coalesced)),
+        ("artifact_cache_coalesced", "artifact", Cache(ARTIFACT, |s| s.stats.coalesced))]),
+    ("evcap_cache_evictions_total", "counter", "cache", &[
+        ("sim_cache_evictions", "sim", Cache(SIM, |s| s.stats.evictions)),
+        ("artifact_cache_evictions", "artifact", Cache(ARTIFACT, |s| s.stats.evictions))]),
+    ("evcap_cache_failures_total", "counter", "cache", &[
+        ("sim_cache_failures", "sim", Cache(SIM, |s| s.stats.failures)),
+        ("artifact_cache_failures", "artifact", Cache(ARTIFACT, |s| s.stats.failures))]),
+    ("evcap_cache_occupancy", "gauge", "cache", &[
+        ("sim_cache_occupancy", "sim", Cache(SIM, |s| s.occupancy as u64)),
+        ("artifact_cache_occupancy", "artifact", Cache(ARTIFACT, |s| s.occupancy as u64))]),
+    ("evcap_cache_capacity", "gauge", "cache", &[
+        ("sim_cache_capacity", "sim", Cache(SIM, |s| s.capacity as u64)),
+        ("artifact_cache_capacity", "artifact", Cache(ARTIFACT, |s| s.capacity as u64))]),
+    ("evcap_store_hits_total", "counter", "", &[("store_hits", "", Counter(STORE_HITS))]),
+    ("evcap_store_misses_total", "counter", "", &[("store_misses", "", Counter(STORE_MISSES))]),
+    ("evcap_store_rejects_total", "counter", "", &[("store_rejects", "", Counter(STORE_REJECTS))]),
+    ("evcap_store_appends_total", "counter", "", &[("store_appends", "", Counter(STORE_APPENDS))]),
+    ("evcap_store_enabled", "gauge", "", &[("store_enabled", "", StoreEnabled)]),
+    ("evcap_store_entries", "gauge", "", &[("store_entries", "", Store(|s| s.entries))]),
+    ("evcap_store_bytes", "gauge", "", &[("store_bytes", "", Store(|s| s.bytes))]),
+    ("evcap_request_latency_seconds", "histogram", "", &[
+        ("latency_count", "", Histogram(REQUEST_LATENCY, |h| h.count() as f64)),
+        ("latency_mean_us", "", Histogram(REQUEST_LATENCY, |h| h.mean_ns() / 1e3)),
+        ("latency_p50_us", "", Histogram(REQUEST_LATENCY, |h| h.quantile_ns(0.50) as f64 / 1e3)),
+        ("latency_p99_us", "", Histogram(REQUEST_LATENCY, |h| h.quantile_ns(0.99) as f64 / 1e3))]),
+    ("evcap_solve_compute_seconds", "histogram", "", &[
+        ("solve_compute_count", "", Histogram(SOLVE_COMPUTE, |h| h.count() as f64)),
+        ("solve_compute_mean_us", "", Histogram(SOLVE_COMPUTE, |h| h.mean_ns() / 1e3))]),
+];
+
+/// Atomic counters, one slot per counted series, and latency histograms.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    requests: AtomicU64,
-    solve_requests: AtomicU64,
-    simulate_requests: AtomicU64,
-    health_requests: AtomicU64,
-    metrics_requests: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    connections: AtomicU64,
-    timeouts: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_rejects: AtomicU64,
-    store_appends: AtomicU64,
-    /// Scenario-bearing requests by solve objective, indexed by
-    /// [`Objective::index`]. Mixed-objective traffic shares every other
-    /// counter (same endpoints, same caches), so this is the one place it
-    /// stays distinguishable.
-    objective_requests: [AtomicU64; 3],
-    /// `/v1/solve` artifact fetches by outcome, indexed like [`SOLVE_FETCHES`].
-    solve_fetches: [AtomicU64; 4],
-    /// All requests, wire-to-wire.
-    pub latency: LatencyHistogram,
-    /// Artifact computes on either route: a certified store load or a fresh solve.
-    pub solve_latency: LatencyHistogram,
+    counters: [AtomicU64; COUNTERS],
+    /// Requests wire to wire; artifact computes (store load or fresh solve).
+    histograms: [LatencyHistogram; 2],
 }
 
-/// Each `/v1/solve` fetch outcome (`x-evcap-cache` label) and its `/metrics`
-/// field. A coalescing timeout counts in `coalesce_timeouts` instead.
-const SOLVE_FETCHES: [(&str, &str); 4] = [
-    ("hit", "solve_cache_hits"),
-    ("miss", "solve_cache_misses"),
-    ("coalesced", "solve_cache_coalesced"),
-    ("failed", "solve_cache_failures"),
-];
-
 impl Metrics {
-    /// Fresh metrics; `started` anchors the uptime field.
+    /// Fresh metrics; `started` anchors the uptime series.
     pub fn new() -> Self {
         Self {
             started: Instant::now(), // deepcheck:allow(instant-now): uptime epoch for the /metrics endpoint
-            requests: AtomicU64::new(0),
-            solve_requests: AtomicU64::new(0),
-            simulate_requests: AtomicU64::new(0),
-            health_requests: AtomicU64::new(0),
-            metrics_requests: AtomicU64::new(0),
-            responses_2xx: AtomicU64::new(0),
-            responses_4xx: AtomicU64::new(0),
-            responses_5xx: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_rejects: AtomicU64::new(0),
-            store_appends: AtomicU64::new(0),
-            objective_requests: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            solve_fetches: Default::default(),
-            latency: LatencyHistogram::new(),
-            solve_latency: LatencyHistogram::new(),
+            counters: [const { AtomicU64::new(0) }; COUNTERS],
+            histograms: [const { LatencyHistogram::new() }; 2],
+        }
+    }
+
+    fn bump(&self, slot: usize) {
+        if let Some(counter) = self.counters.get(slot) {
+            counter.fetch_add(1, Relaxed);
         }
     }
 
     /// Records one disk-tier load served after passing certification.
     pub fn store_hit(&self) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
+        self.bump(STORE_HITS);
     }
 
     /// Records one disk-tier lookup that found no record.
     pub fn store_miss(&self) {
-        self.store_misses.fetch_add(1, Ordering::Relaxed);
+        self.bump(STORE_MISSES);
     }
 
-    /// Records one stored artifact refused (checksum, rehydration, or
-    /// certification failure) and re-solved fresh.
+    /// Records one stored artifact refused (corrupt or uncertified) and re-solved.
     pub fn store_reject(&self) {
-        self.store_rejects.fetch_add(1, Ordering::Relaxed);
+        self.bump(STORE_REJECTS);
     }
 
     /// Records one fresh solve written through to the disk tier.
     pub fn store_append(&self) {
-        self.store_appends.fetch_add(1, Ordering::Relaxed);
+        self.bump(STORE_APPENDS);
     }
 
-    /// Records one scenario-bearing request (`/v1/solve` or
-    /// `/v1/simulate`) under its solve objective.
+    /// Records one scenario-bearing request under its solve objective, the one
+    /// counter that tells mixed-objective traffic apart.
     pub fn objective_request(&self, objective: Objective) {
-        // deepcheck:allow(panic-path): Objective::index() is a dense enum index; the array is sized to match
-        self.objective_requests[objective.index()].fetch_add(1, Ordering::Relaxed);
+        self.bump(OBJECTIVES + objective.index());
     }
 
-    /// Records one `/v1/solve` artifact fetch under its cache label.
-    pub fn solve_fetch(&self, label: &str) {
-        let slot = SOLVE_FETCHES.iter().position(|(l, _)| *l == label);
-        if let Some(counter) = slot.and_then(|i| self.solve_fetches.get(i)) {
-            counter.fetch_add(1, Ordering::Relaxed);
+    /// Records one `/v1/solve` artifact fetch; its cache shard counts a timeout.
+    pub fn solve_fetch(&self, outcome: Outcome) {
+        if (outcome as usize) < Outcome::Timeout as usize {
+            self.bump(FETCHES + outcome as usize);
         }
+    }
+
+    /// Records one artifact compute: a certified store load or a fresh solve.
+    pub fn solve_compute(&self, elapsed: Duration) {
+        let [_, compute] = &self.histograms;
+        compute.observe(elapsed);
     }
 
     /// Records one accepted connection.
     pub fn connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.bump(CONNECTIONS);
     }
 
-    /// Records one coalescing-wait timeout (a 503 was served).
-    pub fn timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one routed request and its response status.
-    pub fn request(&self, path: &str, status: u16, elapsed: Duration) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let endpoint = match path {
-            "/v1/solve" => Some(&self.solve_requests),
-            "/v1/simulate" => Some(&self.simulate_requests),
-            "/healthz" => Some(&self.health_requests),
-            "/metrics" => Some(&self.metrics_requests),
-            _ => None,
-        };
-        if let Some(counter) = endpoint {
-            counter.fetch_add(1, Ordering::Relaxed);
+    /// Records one routed request, its response status and its latency.
+    pub fn request(&self, route: Route, status: u16, elapsed: Duration) {
+        self.bump(REQUESTS);
+        if route != Route::Other {
+            self.bump(ENDPOINTS + route as usize);
         }
-        let class = match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        };
-        class.fetch_add(1, Ordering::Relaxed);
-        self.latency.observe(elapsed);
+        self.bump(match status {
+            200..=299 => CLASSES,
+            400..=499 => CLASSES + 1,
+            _ => CLASSES + 2,
+        });
+        let [latency, _] = &self.histograms;
+        latency.observe(elapsed);
     }
 
-    /// Renders the `/metrics` body given each cache tier's counters: the
-    /// simulate response cache, the artifact cache, and the persistent
-    /// store tier's size gauges.
-    pub fn render(
-        &self,
-        sim_cache: &StatsSnapshot,
-        artifact_cache: &StatsSnapshot,
-        store: &StoreSnapshot,
-    ) -> String {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    /// Reads one series; a cache stat is summed over the tier's shards.
+    fn read(&self, source: Source, caches: &Caches, store: &StoreSnapshot) -> f64 {
+        let value = match source {
+            Uptime => return self.started.elapsed().as_secs_f64(),
+            Counter(slot) => self.counters.get(slot).map_or(0, |c| c.load(Relaxed)),
+            Cache(tier, stat) => caches.get(tier).into_iter().flatten().map(stat).sum(),
+            Timeouts => caches.iter().flatten().map(|s| s.stats.timeouts).sum(),
+            StoreEnabled => u64::from(store.enabled),
+            Store(gauge) => gauge(store),
+            Histogram(index, reading) => return self.histograms.get(index).map_or(0.0, reading),
+        };
+        value as f64
+    }
+
+    /// Renders the JSON `/metrics` body: one field per series of `FAMILIES`.
+    pub fn render(&self, caches: &Caches, store: &StoreSnapshot) -> String {
         let mut obj = JsonObject::with_type("metrics");
-        obj.field_f64("uptime_seconds", self.started.elapsed().as_secs_f64());
-        obj.field_u64("connections", get(&self.connections));
-        obj.field_u64("requests", get(&self.requests));
-        obj.field_u64("solve_requests", get(&self.solve_requests));
-        obj.field_u64("simulate_requests", get(&self.simulate_requests));
-        obj.field_u64("health_requests", get(&self.health_requests));
-        obj.field_u64("metrics_requests", get(&self.metrics_requests));
-        obj.field_u64("responses_2xx", get(&self.responses_2xx));
-        obj.field_u64("responses_4xx", get(&self.responses_4xx));
-        obj.field_u64("responses_5xx", get(&self.responses_5xx));
-        obj.field_u64("coalesce_timeouts", get(&self.timeouts));
-        for (objective, counter) in Objective::ALL.iter().zip(&self.objective_requests) {
-            let field = format!("objective_requests_{}", objective.name().replace('-', "_"));
-            obj.field_u64(&field, get(counter));
+        for &(json, _, source) in FAMILIES.iter().flat_map(|family| family.3) {
+            match source {
+                StoreEnabled => obj.field_bool(json, store.enabled),
+                source => obj.field_f64(json, self.read(source, caches, store)),
+            };
         }
-
-        for ((_, field), counter) in SOLVE_FETCHES.iter().zip(&self.solve_fetches) {
-            obj.field_u64(field, get(counter));
-        }
-        obj.field_u64("sim_cache_hits", sim_cache.hits);
-        obj.field_u64("sim_cache_misses", sim_cache.misses);
-        obj.field_u64("sim_cache_coalesced", sim_cache.coalesced);
-        obj.field_u64("sim_cache_evictions", sim_cache.evictions);
-        obj.field_u64("artifact_cache_hits", artifact_cache.hits);
-        obj.field_u64("artifact_cache_misses", artifact_cache.misses);
-        obj.field_u64("artifact_cache_coalesced", artifact_cache.coalesced);
-        obj.field_u64("artifact_cache_evictions", artifact_cache.evictions);
-        obj.field_u64("artifact_cache_failures", artifact_cache.failures);
-
-        obj.field_bool("store_enabled", store.enabled);
-        obj.field_u64("store_hits", get(&self.store_hits));
-        obj.field_u64("store_misses", get(&self.store_misses));
-        obj.field_u64("store_rejects", get(&self.store_rejects));
-        obj.field_u64("store_appends", get(&self.store_appends));
-        obj.field_u64("store_entries", store.entries);
-        obj.field_u64("store_bytes", store.bytes);
-
-        obj.field_u64("latency_count", self.latency.count());
-        obj.field_f64("latency_mean_us", self.latency.mean_ns() / 1e3);
-        obj.field_f64(
-            "latency_p50_us",
-            self.latency.quantile_ns(0.50) as f64 / 1e3,
-        );
-        obj.field_f64(
-            "latency_p99_us",
-            self.latency.quantile_ns(0.99) as f64 / 1e3,
-        );
-        obj.field_u64("solve_compute_count", self.solve_latency.count());
-        obj.field_f64("solve_compute_mean_us", self.solve_latency.mean_ns() / 1e3);
         obj.finish()
     }
 
-    /// Renders the Prometheus text exposition (version 0.0.4) of the same
-    /// counters, plus per-shard gauges for every cache tier. `tiers` pairs
-    /// a tier name (`sim`, `artifact`) with its shard snapshots.
-    pub fn render_prometheus(
-        &self,
-        tiers: &[(&str, Vec<ShardSnapshot>)],
-        store: &StoreSnapshot,
-    ) -> String {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
-        let mut out = String::with_capacity(4096);
-
-        prometheus::type_line(&mut out, "evcap_uptime_seconds", "gauge");
-        prometheus::sample(
-            &mut out,
-            "evcap_uptime_seconds",
-            self.started.elapsed().as_secs_f64(),
-        );
-        prometheus::type_line(&mut out, "evcap_connections_total", "counter");
-        prometheus::sample(&mut out, "evcap_connections_total", get(&self.connections));
-        prometheus::type_line(&mut out, "evcap_requests_total", "counter");
-        prometheus::sample(&mut out, "evcap_requests_total", get(&self.requests));
-        prometheus::type_line(&mut out, "evcap_endpoint_requests_total", "counter");
-        for (endpoint, counter) in [
-            ("solve", &self.solve_requests),
-            ("simulate", &self.simulate_requests),
-            ("healthz", &self.health_requests),
-            ("metrics", &self.metrics_requests),
-        ] {
-            prometheus::sample_with(
-                &mut out,
-                "evcap_endpoint_requests_total",
-                &[("endpoint", endpoint)],
-                get(counter),
-            );
-        }
-        prometheus::type_line(&mut out, "evcap_responses_total", "counter");
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            prometheus::sample_with(
-                &mut out,
-                "evcap_responses_total",
-                &[("class", class)],
-                get(counter),
-            );
-        }
-        prometheus::type_line(&mut out, "evcap_coalesce_timeouts_total", "counter");
-        prometheus::sample(
-            &mut out,
-            "evcap_coalesce_timeouts_total",
-            get(&self.timeouts),
-        );
-        prometheus::type_line(&mut out, "evcap_objective_requests_total", "counter");
-        for (objective, counter) in Objective::ALL.iter().zip(&self.objective_requests) {
-            prometheus::sample_with(
-                &mut out,
-                "evcap_objective_requests_total",
-                &[("objective", objective.name())],
-                get(counter),
-            );
-        }
-
-        for (metric, kind, read) in CACHE_SERIES {
-            prometheus::type_line(&mut out, metric, kind);
-            for (tier, shards) in tiers {
-                for (index, shard) in shards.iter().enumerate() {
-                    let shard_label = format!("{index}");
-                    prometheus::sample_with(
-                        &mut out,
-                        metric,
-                        &[("cache", tier), ("shard", shard_label.as_str())],
-                        read(shard),
-                    );
+    /// Renders the same series in the Prometheus text format, 0.0.4.
+    pub fn render_prometheus(&self, caches: &Caches, store: &StoreSnapshot) -> String {
+        let mut out = String::with_capacity(8192);
+        let mut shard = String::new();
+        for &(family, kind, name, series) in &FAMILIES {
+            prometheus::type_line(&mut out, family, kind);
+            let label = |value| (!name.is_empty()).then_some((name, value));
+            for &(_, value, source) in series {
+                match source {
+                    Histogram(index, _) => {
+                        if let Some(h) = self.histograms.get(index) {
+                            let buckets = h.cumulative_buckets();
+                            prometheus::histogram(&mut out, family, &buckets, h.total_ns());
+                        }
+                        break;
+                    }
+                    Cache(tier, stat) => {
+                        for (i, snapshot) in caches.get(tier).into_iter().flatten().enumerate() {
+                            shard.clear();
+                            let _ = write!(shard, "{i}");
+                            let labels = label(value).into_iter().chain([("shard", &*shard)]);
+                            prometheus::sample(&mut out, family, labels, stat(snapshot) as f64);
+                        }
+                    }
+                    source => {
+                        let v = self.read(source, caches, store);
+                        prometheus::sample(&mut out, family, label(value), v);
+                    }
                 }
             }
         }
-
-        for (metric, counter) in [
-            ("evcap_store_hits_total", &self.store_hits),
-            ("evcap_store_misses_total", &self.store_misses),
-            ("evcap_store_rejects_total", &self.store_rejects),
-            ("evcap_store_appends_total", &self.store_appends),
-        ] {
-            prometheus::type_line(&mut out, metric, "counter");
-            prometheus::sample(&mut out, metric, get(counter));
-        }
-        prometheus::type_line(&mut out, "evcap_store_enabled", "gauge");
-        prometheus::sample(
-            &mut out,
-            "evcap_store_enabled",
-            if store.enabled { 1.0 } else { 0.0 },
-        );
-        prometheus::type_line(&mut out, "evcap_store_entries", "gauge");
-        prometheus::sample(&mut out, "evcap_store_entries", store.entries as f64);
-        prometheus::type_line(&mut out, "evcap_store_bytes", "gauge");
-        prometheus::sample(&mut out, "evcap_store_bytes", store.bytes as f64);
-
-        prometheus::histogram(
-            &mut out,
-            "evcap_request_latency_seconds",
-            &self.latency.cumulative_buckets(),
-            self.latency.total_ns(),
-            self.latency.count(),
-        );
-        prometheus::histogram(
-            &mut out,
-            "evcap_solve_compute_seconds",
-            &self.solve_latency.cumulative_buckets(),
-            self.solve_latency.total_ns(),
-            self.solve_latency.count(),
-        );
         out
     }
 }
-
-/// Reads one exported value out of a [`ShardSnapshot`].
-type ShardField = fn(&ShardSnapshot) -> f64;
-
-/// The per-shard cache series: metric name, Prometheus type, and the
-/// field each reads from a [`ShardSnapshot`].
-const CACHE_SERIES: [(&str, &str, ShardField); 6] = [
-    ("evcap_cache_hits_total", "counter", |s| s.stats.hits as f64),
-    ("evcap_cache_misses_total", "counter", |s| {
-        s.stats.misses as f64
-    }),
-    ("evcap_cache_coalesced_total", "counter", |s| {
-        s.stats.coalesced as f64
-    }),
-    ("evcap_cache_evictions_total", "counter", |s| {
-        s.stats.evictions as f64
-    }),
-    ("evcap_cache_occupancy", "gauge", |s| s.occupancy as f64),
-    ("evcap_cache_capacity", "gauge", |s| s.capacity as f64),
-];
 
 impl Default for Metrics {
     fn default() -> Self {
@@ -371,16 +378,18 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::StatsSnapshot;
     use evcap_obs::{parse_line, JsonValue};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn render_round_trips_and_counts() {
         let m = Metrics::new();
         m.connection();
-        m.request("/v1/solve", 200, Duration::from_micros(250));
-        m.request("/v1/solve", 400, Duration::from_micros(50));
-        m.request("/healthz", 200, Duration::from_micros(10));
-        m.request("/nope", 404, Duration::from_micros(10));
+        m.request(Route::of("/v1/solve"), 200, Duration::from_micros(250));
+        m.request(Route::of("/v1/solve"), 400, Duration::from_micros(50));
+        m.request(Route::of("/healthz"), 200, Duration::from_micros(10));
+        m.request(Route::of("/nope"), 404, Duration::from_micros(10));
         m.store_hit();
         m.store_miss();
         m.store_reject();
@@ -389,13 +398,12 @@ mod tests {
         m.objective_request(Objective::Qom);
         m.objective_request(Objective::Qom);
         m.objective_request(Objective::AoiMean);
-        let empty = StatsSnapshot::default();
         let store = StoreSnapshot {
             enabled: true,
             entries: 3,
             bytes: 4096,
         };
-        let body = m.render(&empty, &empty, &store);
+        let body = m.render(&Caches::default(), &store);
         let v = parse_line(&body).unwrap();
         let f = |k: &str| v.get(k).and_then(JsonValue::as_f64).unwrap();
         assert_eq!(v.get("type").and_then(JsonValue::as_str), Some("metrics"));
@@ -418,38 +426,135 @@ mod tests {
         assert_eq!(f("objective_requests_aoi_peak"), 0.0);
     }
 
+    /// The contract between the two encodings: every series of `FAMILIES`
+    /// appears in both with the same value (per shard for a cache series),
+    /// every counter slot backs exactly one series, and neither body carries
+    /// anything the table does not declare.
     #[test]
-    fn prometheus_render_round_trips_and_matches_json() {
+    fn every_series_appears_in_both_encodings_with_equal_values() {
         let m = Metrics::new();
         m.connection();
-        m.request("/v1/solve", 200, Duration::from_micros(250));
-        m.request("/healthz", 200, Duration::from_micros(10));
+        m.request(Route::Solve, 200, Duration::from_micros(250));
+        m.request(Route::Healthz, 200, Duration::from_micros(10));
+        m.store_hit();
+        m.store_reject();
+        m.objective_request(Objective::AoiPeak);
+        m.solve_compute(Duration::from_millis(2));
+        let outcomes = [
+            Outcome::Hit,
+            Outcome::Miss,
+            Outcome::Coalesced,
+            Outcome::Failed,
+        ];
+        for (n, outcome) in outcomes.into_iter().chain([Outcome::Timeout]).enumerate() {
+            (0..=n).for_each(|_| m.solve_fetch(outcome));
+        }
         let shard = ShardSnapshot {
             stats: StatsSnapshot {
                 hits: 3,
                 misses: 1,
+                failures: 2,
+                timeouts: 4,
                 ..StatsSnapshot::default()
             },
             occupancy: 1,
             capacity: 16,
         };
-        let tiers = vec![
-            ("solve", vec![shard, ShardSnapshot::default()]),
-            ("sim", vec![ShardSnapshot::default(); 2]),
+        let caches: Caches = [
+            vec![shard, ShardSnapshot::default()],
+            vec![ShardSnapshot::default(), shard, shard],
         ];
-        m.store_hit();
-        m.store_reject();
-        m.objective_request(Objective::AoiPeak);
         let store = StoreSnapshot {
             enabled: true,
             entries: 5,
             bytes: 2048,
         };
-        let text = m.render_prometheus(&tiers, &store);
+        let json = parse_line(&m.render(&caches, &store)).unwrap();
+        let text = m.render_prometheus(&caches, &store);
         let samples = prometheus::parse(&text).expect("renderer emits valid exposition");
         let f = |name: &str, labels: &[(&str, &str)]| {
-            prometheus::find(&samples, name, labels).expect(name)
+            prometheus::find(&samples, name, labels)
+                .unwrap_or_else(|| panic!("no sample {name}{labels:?}"))
         };
+
+        let mut fields = 1; // `type`
+        let mut slots = Vec::new();
+        for &(family, kind, label, series) in &FAMILIES {
+            assert!(
+                text.contains(&format!("# TYPE {family} {kind}\n")),
+                "{family}"
+            );
+            for &(field, value, source) in series {
+                fields += 1;
+                let in_json = match json.get(field) {
+                    Some(JsonValue::Bool(flag)) => f64::from(u8::from(*flag)),
+                    other => other.and_then(JsonValue::as_f64).expect(field),
+                };
+                let labels: Vec<_> = (!label.is_empty())
+                    .then_some((label, value))
+                    .into_iter()
+                    .collect();
+                match source {
+                    Uptime => assert!(f(family, &labels) >= in_json, "{field}"),
+                    Cache(tier, stat) => {
+                        let mut sum = 0.0;
+                        for (i, snapshot) in caches[tier].iter().enumerate() {
+                            let i = i.to_string();
+                            let labels = [labels[0], ("shard", &i)];
+                            assert_eq!(f(family, &labels), stat(snapshot) as f64, "{labels:?}");
+                            sum += stat(snapshot) as f64;
+                        }
+                        assert_eq!(in_json, sum, "{field}");
+                    }
+                    Histogram(index, reading) => {
+                        let h = &m.histograms[index];
+                        assert_eq!(in_json, reading(h), "{field}");
+                        let count = h.count() as f64;
+                        assert_eq!(f(&format!("{family}_count"), &[]), count);
+                        assert_eq!(f(&format!("{family}_bucket"), &[("le", "+Inf")]), count);
+                        assert_eq!(f(&format!("{family}_sum"), &[]), h.total_ns() as f64 / 1e9);
+                    }
+                    Counter(slot) => {
+                        slots.push(slot);
+                        assert_eq!(f(family, &labels), in_json, "{field}");
+                    }
+                    _ => assert_eq!(f(family, &labels), in_json, "{field}"),
+                }
+            }
+        }
+        let JsonValue::Object(body) = &json else {
+            panic!("JSON body is not an object")
+        };
+        assert_eq!(body.len(), fields, "JSON carries only the table's series");
+        let families: Vec<&str> = FAMILIES.iter().map(|family| family.0).collect();
+        for sample in &samples {
+            let name = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| sample.name.strip_suffix(suffix))
+                .filter(|name| families.contains(name))
+                .unwrap_or(&sample.name);
+            assert!(
+                families.contains(&name),
+                "undeclared series {}",
+                sample.name
+            );
+        }
+        slots.sort_unstable();
+        assert_eq!(slots, (0..COUNTERS).collect::<Vec<_>>());
+
+        // Each vocabulary index lands on the series that carries its label.
+        for (n, outcome) in outcomes.into_iter().enumerate() {
+            let labels = [("outcome", outcome.label())];
+            assert_eq!(f("evcap_solve_fetches_total", &labels), n as f64 + 1.0);
+        }
+        for objective in Objective::ALL {
+            let labels = [("objective", objective.name())];
+            let expected = f64::from(u8::from(objective == Objective::AoiPeak));
+            assert_eq!(f("evcap_objective_requests_total", &labels), expected);
+        }
+        // Timeouts are the caches' own count, not the solve route's.
+        assert_eq!(f("evcap_coalesce_timeouts_total", &[]), 12.0);
+
         assert_eq!(f("evcap_requests_total", &[]), 2.0);
         assert_eq!(
             f("evcap_endpoint_requests_total", &[("endpoint", "solve")]),
@@ -459,19 +564,19 @@ mod tests {
         assert_eq!(
             f(
                 "evcap_cache_hits_total",
-                &[("cache", "solve"), ("shard", "0")]
+                &[("cache", "sim"), ("shard", "0")]
             ),
             3.0
         );
         assert_eq!(
-            f(
-                "evcap_cache_occupancy",
-                &[("cache", "solve"), ("shard", "0")]
-            ),
+            f("evcap_cache_occupancy", &[("cache", "sim"), ("shard", "0")]),
             1.0
         );
         assert_eq!(
-            f("evcap_cache_capacity", &[("cache", "sim"), ("shard", "1")]),
+            f(
+                "evcap_cache_capacity",
+                &[("cache", "artifact"), ("shard", "0")]
+            ),
             0.0
         );
         assert_eq!(f("evcap_request_latency_seconds_count", &[]), 2.0);
@@ -479,28 +584,79 @@ mod tests {
             f("evcap_request_latency_seconds_bucket", &[("le", "+Inf")]),
             2.0
         );
-        assert_eq!(
-            f(
-                "evcap_objective_requests_total",
-                &[("objective", "aoi-peak")]
-            ),
-            1.0
-        );
-        assert_eq!(
-            f("evcap_objective_requests_total", &[("objective", "qom")]),
-            0.0
-        );
         assert_eq!(f("evcap_store_hits_total", &[]), 1.0);
         assert_eq!(f("evcap_store_rejects_total", &[]), 1.0);
         assert_eq!(f("evcap_store_enabled", &[]), 1.0);
         assert_eq!(f("evcap_store_entries", &[]), 5.0);
         assert_eq!(f("evcap_store_bytes", &[]), 2048.0);
-        // Consistency with the JSON body (same atomics, same instant).
-        let empty = StatsSnapshot::default();
-        let json = parse_line(&m.render(&empty, &empty, &store)).unwrap();
+        assert_eq!(json.get("store_enabled"), Some(&JsonValue::Bool(true)));
         assert_eq!(
             json.get("requests").and_then(JsonValue::as_f64),
             Some(f("evcap_requests_total", &[]))
         );
+    }
+
+    #[test]
+    fn vocabularies_round_trip_through_their_tags() {
+        for (tag, &(route, path)) in Route::PATHS.iter().enumerate() {
+            assert_eq!(route as usize, tag);
+            assert_eq!((Route::of(path), Route::path_of(tag as u8)), (route, path));
+        }
+        let fetches: [crate::cache::Fetch<(), ()>; 5] = [
+            crate::cache::Fetch::Hit(()),
+            crate::cache::Fetch::Computed(()),
+            crate::cache::Fetch::Coalesced(()),
+            crate::cache::Fetch::Failed(()),
+            crate::cache::Fetch::TimedOut,
+        ];
+        for (tag, fetch) in fetches.iter().enumerate() {
+            assert_eq!(fetch.outcome() as usize, tag);
+            assert_eq!(Outcome::label_of(tag as u8), fetch.label());
+        }
+        assert_eq!(Outcome::None.label(), "none");
+        assert_eq!(objective_label(objective_tag(None)), "none");
+        for objective in Objective::ALL {
+            assert_eq!(
+                objective_label(objective_tag(Some(objective))),
+                objective.name()
+            );
+        }
+        // `/debug/recent` names each stage field after its span.
+        for (span, field) in STAGES {
+            assert_eq!(field, format!("{}_us", span.replace('.', "_")));
+        }
+    }
+
+    /// A scrape racing requests must not see a bucket ahead of `_count`:
+    /// `+Inf` and `_count` come from the same bucket snapshot as the `le`
+    /// series.
+    #[test]
+    fn histogram_scrapes_stay_monotone_while_requests_land() {
+        let m = Metrics::new();
+        let (caches, store) = (Caches::default(), StoreSnapshot::default());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut i = 0u32;
+                    while !done.load(Relaxed) {
+                        m.request(Route::Solve, 200, Duration::from_nanos(1 << (i % 24)));
+                        i = i.wrapping_add(1);
+                    }
+                });
+            }
+            for _ in 0..2_000 {
+                let samples = prometheus::parse(&m.render_prometheus(&caches, &store)).unwrap();
+                let buckets: Vec<f64> = samples
+                    .iter()
+                    .filter(|s| s.name == "evcap_request_latency_seconds_bucket")
+                    .map(|s| s.value)
+                    .collect();
+                let count = prometheus::find(&samples, "evcap_request_latency_seconds_count", &[]);
+                assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+                assert_eq!(buckets.last().copied(), count, "{buckets:?}");
+            }
+            done.store(true, Relaxed);
+        });
     }
 }

@@ -1,10 +1,10 @@
 //! Prometheus text exposition: rendering helpers and a mini-parser.
 //!
-//! The renderer side lives in [`crate::metrics::Metrics::render_prometheus`]
-//! (it needs the private counters); this module owns the shared formatting
-//! primitives — label escaping, `le` bucket formatting — and a parser for
-//! the text format (version 0.0.4) that the e2e tests and the smoke
-//! tooling use to validate scrapes. The parser accepts exactly the subset
+//! [`crate::metrics::Metrics::render_prometheus`] walks the metrics table
+//! and writes each family through this module's primitives (samples with
+//! escaped labels, cumulative histograms). The parser for the text format
+//! (version 0.0.4) is what the e2e tests and the smoke tooling use to
+//! validate scrapes. The parser accepts exactly the subset
 //! the renderer emits plus comments: `name{label="v",...} value`, one
 //! sample per line, no timestamps.
 
@@ -34,84 +34,70 @@ impl Sample {
     }
 }
 
-/// Escapes a label value per the exposition format.
-pub(crate) fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Appends `# TYPE` metadata for a metric.
+/// Appends `# TYPE` metadata for a family.
 pub(crate) fn type_line(out: &mut String, name: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Appends one unlabelled sample.
-pub(crate) fn sample(out: &mut String, name: &str, value: f64) {
-    let _ = writeln!(out, "{name} {}", fmt_value(value));
-}
-
-/// Appends one labelled sample; `labels` are raw `(name, value)` pairs
-/// (values are escaped here).
-pub(crate) fn sample_with(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
-    let _ = write!(out, "{name}{{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Appends one sample; `labels` are raw `(name, value)` pairs, values
+/// escaped per the exposition format.
+pub(crate) fn sample<'a>(
+    out: &mut String,
+    name: &str,
+    labels: impl IntoIterator<Item = (&'a str, &'a str)>,
+    value: f64,
+) {
+    out.push_str(name);
+    let mut open = false;
+    for (k, v) in labels {
+        out.push(if open { ',' } else { '{' });
+        open = true;
+        let _ = write!(out, "{k}=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
         }
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
+        out.push('"');
     }
-    let _ = writeln!(out, "}} {}", fmt_value(value));
+    if open {
+        out.push('}');
+    }
+    end_line(out, value);
 }
 
 /// Renders a full histogram (cumulative `_bucket` series, `_sum`,
-/// `_count`) from nanosecond buckets, in seconds.
-pub(crate) fn histogram(
-    out: &mut String,
-    name: &str,
-    buckets_ns: &[(u64, u64)],
-    sum_ns: u64,
-    count: u64,
-) {
-    type_line(out, name, "histogram");
+/// `_count`) from nanosecond buckets, in seconds. `+Inf` and `_count` are
+/// the snapshot's last cumulative count, so a scrape that races an
+/// observation stays monotone.
+pub(crate) fn histogram(out: &mut String, name: &str, buckets_ns: &[(u64, u64)], sum_ns: u64) {
+    let count = buckets_ns.last().map_or(0, |&(_, cumulative)| cumulative);
     for &(upper_ns, cumulative) in buckets_ns {
-        if upper_ns == u64::MAX {
-            continue; // folded into +Inf below
+        if upper_ns != u64::MAX {
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                upper_ns as f64 / 1e9
+            );
         }
-        let le = format!("{}", upper_ns as f64 / 1e9);
-        sample_with(
-            out,
-            &format!("{name}_bucket"),
-            &[("le", le.as_str())],
-            cumulative as f64,
-        );
     }
-    sample_with(
-        out,
-        &format!("{name}_bucket"),
-        &[("le", "+Inf")],
-        count as f64,
-    );
-    sample(out, &format!("{name}_sum"), sum_ns as f64 / 1e9);
-    sample(out, &format!("{name}_count"), count as f64);
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+    let _ = write!(out, "{name}_sum");
+    end_line(out, sum_ns as f64 / 1e9);
+    let _ = writeln!(out, "{name}_count {count}");
 }
 
-fn fmt_value(v: f64) -> String {
+/// Ends a sample line with its value (`+Inf`, `-Inf` and `NaN` spelled out).
+fn end_line(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_owned()
-    } else if v == f64::INFINITY {
-        "+Inf".to_owned()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_owned()
+        out.push_str(" NaN\n");
+    } else if v.is_infinite() {
+        out.push_str(if v > 0.0 { " +Inf\n" } else { " -Inf\n" });
     } else {
-        format!("{v}")
+        let _ = writeln!(out, " {v}");
     }
 }
 
@@ -251,14 +237,14 @@ mod tests {
     fn renders_and_parses_samples() {
         let mut out = String::new();
         type_line(&mut out, "evcap_requests_total", "counter");
-        sample(&mut out, "evcap_requests_total", 42.0);
-        sample_with(
+        sample(&mut out, "evcap_requests_total", [], 42.0);
+        sample(
             &mut out,
             "evcap_cache_hits_total",
-            &[("cache", "solve"), ("shard", "0")],
+            [("cache", "solve"), ("shard", "0")],
             7.0,
         );
-        sample_with(&mut out, "evcap_weird", &[("v", "a\"b\\c\nd")], 1.5);
+        sample(&mut out, "evcap_weird", [("v", "a\"b\\c\nd")], 1.5);
         let samples = parse(&out).expect("round trip");
         assert_eq!(samples.len(), 3);
         assert_eq!(find(&samples, "evcap_requests_total", &[]), Some(42.0));
@@ -276,12 +262,12 @@ mod tests {
     #[test]
     fn histogram_is_cumulative_with_inf_terminal() {
         let mut out = String::new();
+        // The last bucket is the unbounded one: `+Inf` and `_count` read it.
         histogram(
             &mut out,
             "evcap_request_latency_seconds",
-            &[(1023, 2), (2047, 5)],
+            &[(1023, 2), (2047, 5), (u64::MAX, 6)],
             12_000,
-            6,
         );
         let samples = parse(&out).expect("valid");
         let buckets: Vec<&Sample> = samples

@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 
 use evcap_obs::trace::TraceRecord;
 use evcap_obs::{FlightRecorder, JsonObject, JsonlSink, RequestSample};
-use evcap_spec::{Scenario, SolvedPolicy};
+use evcap_spec::{Objective, Scenario, SolvedPolicy};
 
 use crate::cache::{Fetch, ShardedCache};
 use crate::handlers;
 use crate::http::{self, Limits, ReadError, Request};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics, Outcome, Route, StoreSnapshot, STAGES};
 use crate::prometheus;
 use crate::scenario::{ApiError, SimulateScenario, SolveScenario};
 
@@ -244,43 +244,6 @@ impl StopFlag {
     }
 }
 
-/// Routes the flight recorder can tag (index = `path_tag`).
-const ROUTES: [&str; 6] = [
-    "other",
-    "/healthz",
-    "/metrics",
-    "/v1/solve",
-    "/v1/simulate",
-    "/debug/recent",
-];
-
-/// Cache-outcome labels the flight recorder can tag (index = `cache_tag`).
-const CACHE_LABELS: [&str; 6] = ["none", "hit", "miss", "coalesced", "failed", "timeout"];
-
-/// Objective labels the flight recorder can tag (index = `objective_tag`).
-/// Slot 0 is "no scenario attached" (non-scenario routes and parse
-/// failures); scenario-bearing requests use `Objective::index() + 1`.
-const OBJECTIVE_LABELS: [&str; 4] = ["none", "qom", "aoi-mean", "aoi-peak"];
-
-/// Solve stages broken out per request (order matches
-/// [`RequestSample::stage_us`]): body parse, scenario canonicalization,
-/// LP solve, clustering search, table compilation.
-const STAGES: [&str; 5] = [
-    "req.parse",
-    "req.canonicalize",
-    "lp.solve",
-    "clustering.search",
-    "spec.table",
-];
-
-fn route_tag(path: &str) -> u8 {
-    ROUTES.iter().position(|r| *r == path).unwrap_or(0) as u8
-}
-
-fn cache_tag(label: &str) -> u8 {
-    CACHE_LABELS.iter().position(|l| *l == label).unwrap_or(0) as u8
-}
-
 /// One decoded flight-recorder entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecentRequest {
@@ -305,16 +268,10 @@ pub struct RecentRequest {
 impl RecentRequest {
     fn from_sample(s: &RequestSample) -> Self {
         RecentRequest {
-            path: ROUTES.get(s.path_tag as usize).copied().unwrap_or("other"),
+            path: Route::path_of(s.path_tag),
             status: s.status,
-            cache: CACHE_LABELS
-                .get(s.cache_tag as usize)
-                .copied()
-                .unwrap_or("none"),
-            objective: OBJECTIVE_LABELS
-                .get(s.objective_tag as usize)
-                .copied()
-                .unwrap_or("none"),
+            cache: Outcome::label_of(s.cache_tag),
+            objective: metrics::objective_label(s.objective_tag),
             latency_us: s.latency_ns as f64 / 1e3,
             trace_id: s.trace_id(),
             stage_us: s.stage_us,
@@ -361,9 +318,8 @@ fn render_recent(shared: &Shared) -> String {
             obj.field_str("objective", r.objective);
             obj.field_f64("latency_us", r.latency_us);
             obj.field_str("trace_id", &r.trace_id);
-            for (stage, us) in STAGES.iter().zip(r.stage_us) {
-                let field = format!("{}_us", stage.replace('.', "_"));
-                obj.field_u64(&field, u64::from(us));
+            for ((_, field), us) in STAGES.iter().zip(r.stage_us) {
+                obj.field_u64(field, u64::from(us));
             }
             obj.finish()
         })
@@ -382,7 +338,7 @@ fn stage_breakdown(record: Option<&TraceRecord>) -> [u32; 5] {
         return out;
     };
     for event in &record.events {
-        if let Some(i) = STAGES.iter().position(|s| *s == event.name) {
+        if let Some(i) = STAGES.iter().position(|(span, _)| *span == event.name) {
             let us = (event.dur_ns / 1_000).min(u64::from(u32::MAX)) as u32;
             // deepcheck:allow(panic-path): `i` is a position into STAGES, whose length matches the output array
             out[i] = out[i].saturating_add(us);
@@ -459,22 +415,23 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             .config
             .trace
             .then(|| evcap_obs::trace::start(request_id));
+        let path = request.target.split('?').next().unwrap_or("");
+        let route = Route::of(path);
         let start = Instant::now(); // deepcheck:allow(instant-now): access-log latency stamp
-        let routed = route(&request, shared);
+        let routed = respond(&request, path, route, shared);
         let traced = trace_guard.is_some_and(|g| g.finish_into(&mut trace_buf));
         let trace_record = traced.then_some(&trace_buf);
         let stopping = shared.shutdown.load(Ordering::SeqCst);
         let keep_alive = request.keep_alive && !stopping;
         let elapsed = start.elapsed();
-        let path = request.target.split('?').next().unwrap_or("");
-        shared.metrics.request(path, routed.status, elapsed);
+        shared.metrics.request(route, routed.status, elapsed);
 
         let stage_us = stage_breakdown(trace_record);
         let mut sample = RequestSample {
-            path_tag: route_tag(path),
+            path_tag: route as u8,
             status: routed.status,
-            cache_tag: cache_tag(routed.cache),
-            objective_tag: routed.objective,
+            cache_tag: routed.outcome as u8,
+            objective_tag: metrics::objective_tag(routed.objective),
             latency_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
             stage_us,
             ..RequestSample::default()
@@ -491,8 +448,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             record.field_u64("status", u64::from(routed.status));
             record.field_f64("micros", elapsed.as_secs_f64() * 1e6);
             record.field_str("trace_id", request_id);
-            if !routed.cache.is_empty() {
-                record.field_str("cache", routed.cache);
+            if routed.outcome != Outcome::None {
+                record.field_str("cache", routed.outcome.label());
             }
             if slow {
                 record.field_bool("slow", true);
@@ -523,8 +480,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         let mut n_extra = 0;
         extra[n_extra] = ("x-request-id", request_id); // deepcheck:allow(panic-path): n_extra counts at most 3 fixed pushes
         n_extra += 1;
-        if !routed.cache.is_empty() {
-            extra[n_extra] = ("x-evcap-cache", routed.cache); // deepcheck:allow(panic-path): n_extra counts at most 3 fixed pushes
+        if routed.outcome != Outcome::None {
+            extra[n_extra] = ("x-evcap-cache", routed.outcome.label()); // deepcheck:allow(panic-path): n_extra counts at most 3 fixed pushes
             n_extra += 1;
         }
         if routed.content_type != APPLICATION_JSON {
@@ -563,11 +520,7 @@ fn dump_slow_request(
         "slow request: {method} {path} {} {:.1}ms cache={} trace={trace_id}",
         routed.status,
         elapsed.as_secs_f64() * 1e3,
-        if routed.cache.is_empty() {
-            "none"
-        } else {
-            routed.cache
-        },
+        routed.outcome.label(),
     );
     if let Some(trace) = trace {
         for event in &trace.events {
@@ -589,47 +542,40 @@ fn dump_slow_request(
     }
 }
 
-/// The cache label for "this response never touches a cache".
-const NO_CACHE: &str = "";
-
 /// The default response content type.
 const APPLICATION_JSON: &str = "application/json";
 
-/// A routed response: status, body, cache disposition, content type, and
-/// the solve objective of the parsed scenario (0 when there is none).
+/// A routed response: status, body, cache outcome, content type, and the
+/// solve objective of the parsed scenario.
 struct Routed {
     status: u16,
     body: String,
-    cache: &'static str,
+    outcome: Outcome,
     content_type: &'static str,
-    objective: u8,
+    objective: Option<Objective>,
 }
 
 impl Routed {
-    fn json(status: u16, body: String, cache: &'static str) -> Self {
+    fn json(status: u16, body: String, outcome: Outcome) -> Self {
         Routed {
             status,
             body,
-            cache,
+            outcome,
             content_type: APPLICATION_JSON,
-            objective: 0,
+            objective: None,
         }
     }
 
     fn text(status: u16, body: String, content_type: &'static str) -> Self {
         Routed {
-            status,
-            body,
-            cache: NO_CACHE,
             content_type,
-            objective: 0,
+            ..Routed::json(status, body, Outcome::None)
         }
     }
 
-    /// Tags the response with the scenario's solve objective (see
-    /// [`OBJECTIVE_LABELS`] for the index scheme).
-    fn with_objective(mut self, objective: evcap_spec::Objective) -> Self {
-        self.objective = objective.index() as u8 + 1;
+    /// Tags the response with the scenario's solve objective.
+    fn with_objective(mut self, objective: Objective) -> Self {
+        self.objective = Some(objective);
         self
     }
 }
@@ -647,44 +593,39 @@ fn wants_prometheus(request: &Request) -> bool {
         .is_some_and(|a| a.to_ascii_lowercase().contains("text/plain"))
 }
 
-fn route(request: &Request, shared: &Shared) -> Routed {
-    let path = request.target.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => {
+/// Answers a request on `route`, the route of its `path`.
+fn respond(request: &Request, path: &str, route: Route, shared: &Shared) -> Routed {
+    match (request.method.as_str(), route) {
+        ("GET", Route::Healthz) => {
             let mut obj = JsonObject::with_type("health");
             obj.field_str("status", "ok");
-            Routed::json(200, obj.finish(), NO_CACHE)
+            Routed::json(200, obj.finish(), Outcome::None)
         }
-        ("GET", "/metrics") => {
+        ("GET", Route::Metrics) => {
+            let caches = [
+                shared.sim_cache.shard_snapshots(),
+                shared.artifact_cache.shard_snapshots(),
+            ];
             let store = store_snapshot(shared);
             if wants_prometheus(request) {
-                let tiers = vec![
-                    ("sim", shared.sim_cache.shard_snapshots()),
-                    ("artifact", shared.artifact_cache.shard_snapshots()),
-                ];
                 Routed::text(
                     200,
-                    shared.metrics.render_prometheus(&tiers, &store),
+                    shared.metrics.render_prometheus(&caches, &store),
                     prometheus::CONTENT_TYPE,
                 )
             } else {
-                let body = shared.metrics.render(
-                    &shared.sim_cache.stats(),
-                    &shared.artifact_cache.stats(),
-                    &store,
-                );
-                Routed::json(200, body, NO_CACHE)
+                Routed::json(200, shared.metrics.render(&caches, &store), Outcome::None)
             }
         }
-        ("GET", "/debug/recent") => Routed::json(200, render_recent(shared), NO_CACHE),
-        ("POST", "/v1/solve") => match SolveScenario::from_body(&request.body) {
-            Err(e) => Routed::json(e.status, e.body(), NO_CACHE),
+        ("GET", Route::Recent) => Routed::json(200, render_recent(shared), Outcome::None),
+        ("POST", Route::Solve) => match SolveScenario::from_body(&request.body) {
+            Err(e) => Routed::json(e.status, e.body(), Outcome::None),
             Ok(s) => {
                 let objective = s.scenario.objective();
                 shared.metrics.objective_request(objective);
                 let fetch = artifact(shared, &s.scenario, s.artifact_key());
-                shared.metrics.solve_fetch(fetch.label());
-                render_fetch(fetch, shared, |a| {
+                shared.metrics.solve_fetch(fetch.outcome());
+                render_fetch(fetch, |a| {
                     a.solve_body
                         .get_or_init(|| handlers::render_solve(&s, &a.solved))
                         .clone()
@@ -692,9 +633,9 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                 .with_objective(objective)
             }
         },
-        ("POST", "/v1/simulate") => {
+        ("POST", Route::Simulate) => {
             match SimulateScenario::from_body(&request.body, shared.config.max_slots) {
-                Err(e) => Routed::json(e.status, e.body(), NO_CACHE),
+                Err(e) => Routed::json(e.status, e.body(), Outcome::None),
                 Ok(s) => {
                     let objective = s.scenario.objective();
                     shared.metrics.objective_request(objective);
@@ -702,47 +643,46 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                         s.cache_key(),
                         shared.config.coalesce_timeout,
                         || {
-                            let a =
-                                fetched(artifact(shared, &s.scenario, s.artifact_key()), shared)?;
+                            let a = fetched(artifact(shared, &s.scenario, s.artifact_key()))?;
                             handlers::simulate(&s, &a.solved)
                         },
                     );
                     evcap_obs::trace::mark("cache.sim", fetch.label());
-                    render_fetch(fetch, shared, |body| body).with_objective(objective)
+                    render_fetch(fetch, |body| body).with_objective(objective)
                 }
             }
         }
-        (_, "/healthz" | "/metrics" | "/debug/recent" | "/v1/solve" | "/v1/simulate") => {
-            let err = ApiError {
-                status: 405,
-                kind: "method_not_allowed",
-                message: format!("`{}` is not supported on {path}", request.method),
-            };
-            Routed::json(405, err.body(), NO_CACHE)
-        }
-        _ => {
+        (_, Route::Other) => {
             let err = ApiError {
                 status: 404,
                 kind: "not_found",
                 message: format!("no route for {path}"),
             };
-            Routed::json(404, err.body(), NO_CACHE)
+            Routed::json(404, err.body(), Outcome::None)
+        }
+        _ => {
+            let err = ApiError {
+                status: 405,
+                kind: "method_not_allowed",
+                message: format!("`{}` is not supported on {path}", request.method),
+            };
+            Routed::json(405, err.body(), Outcome::None)
         }
     }
 }
 
 /// Reads the store-tier size gauges for `/metrics` (counters live in
 /// [`Metrics`]; only entries/bytes need the lock).
-fn store_snapshot(shared: &Shared) -> crate::metrics::StoreSnapshot {
+fn store_snapshot(shared: &Shared) -> StoreSnapshot {
     match &shared.store {
-        None => crate::metrics::StoreSnapshot::default(),
+        None => StoreSnapshot::default(),
         Some(store) => match store.lock() {
-            Ok(store) => crate::metrics::StoreSnapshot {
+            Ok(store) => StoreSnapshot {
                 enabled: true,
                 entries: store.len() as u64,
                 bytes: store.bytes(),
             },
-            Err(_) => crate::metrics::StoreSnapshot {
+            Err(_) => StoreSnapshot {
                 enabled: true,
                 ..Default::default()
             },
@@ -808,7 +748,7 @@ fn store_append(shared: &Shared, solved: &SolvedPolicy) {
 ///
 /// With `--store` the lookup is three-tiered: hot in-memory LRU → disk
 /// store (certified loads only, see [`store_load`]) → fresh solve (written
-/// through to disk). `Metrics::solve_latency` times that compute.
+/// through to disk). `Metrics::solve_compute` times that compute.
 fn artifact(shared: &Shared, scenario: &Scenario, key: &str) -> Fetch<Arc<Artifact>, ApiError> {
     let fetch = shared
         .artifact_cache
@@ -816,7 +756,7 @@ fn artifact(shared: &Shared, scenario: &Scenario, key: &str) -> Fetch<Arc<Artifa
             let t = Instant::now(); // deepcheck:allow(instant-now): artifact compute latency stamp
             let solved = store_load(shared, scenario, key)
                 .map_or_else(|| fresh_artifact(shared, scenario), Ok);
-            shared.metrics.solve_latency.observe(t.elapsed());
+            shared.metrics.solve_compute(t.elapsed());
             let solve_body = OnceLock::new();
             solved.map(|solved| Arc::new(Artifact { solved, solve_body }))
         });
@@ -849,32 +789,25 @@ fn fresh_artifact(shared: &Shared, scenario: &Scenario) -> Result<SolvedPolicy, 
 }
 
 /// The value a fetch carries, or the error to answer with. A waiter that
-/// gave up on its leader is counted and answers 503.
-fn fetched<V>(fetch: Fetch<V, ApiError>, shared: &Shared) -> Result<V, ApiError> {
+/// gave up on its leader answers 503 (its cache shard counted the timeout).
+fn fetched<V>(fetch: Fetch<V, ApiError>) -> Result<V, ApiError> {
     match fetch {
         Fetch::Hit(v) | Fetch::Computed(v) | Fetch::Coalesced(v) => Ok(v),
         Fetch::Failed(e) => Err(e),
-        Fetch::TimedOut => {
-            shared.metrics.timeout();
-            Err(ApiError {
-                status: 503,
-                kind: "coalesce_timeout",
-                message: "timed out waiting for an in-flight computation".to_owned(),
-            })
-        }
+        Fetch::TimedOut => Err(ApiError {
+            status: 503,
+            kind: "coalesce_timeout",
+            message: "timed out waiting for an in-flight computation".to_owned(),
+        }),
     }
 }
 
 /// Answers a fetch with `body` of its value, or with its error, tagged
 /// with the fetch's cache disposition.
-fn render_fetch<V>(
-    fetch: Fetch<V, ApiError>,
-    shared: &Shared,
-    body: impl FnOnce(V) -> String,
-) -> Routed {
-    let label = fetch.label();
-    match fetched(fetch, shared) {
-        Ok(v) => Routed::json(200, body(v), label),
-        Err(e) => Routed::json(e.status, e.body(), label),
+fn render_fetch<V>(fetch: Fetch<V, ApiError>, body: impl FnOnce(V) -> String) -> Routed {
+    let outcome = fetch.outcome();
+    match fetched(fetch) {
+        Ok(v) => Routed::json(200, body(v), outcome),
+        Err(e) => Routed::json(e.status, e.body(), outcome),
     }
 }

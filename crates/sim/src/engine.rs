@@ -1930,32 +1930,48 @@ mod tests {
         struct Collect {
             active_slots: u64,
             owners: Vec<usize>,
+            idle: Vec<(usize, usize)>,
         }
         impl Observer for Collect {
             fn on_slot(&mut self, o: &SlotOutcome) {
                 if o.active {
                     self.active_slots += 1;
                     self.owners.push(o.owner);
+                } else {
+                    self.idle.push((o.owner, o.state));
                 }
             }
         }
         let pmf = weibull_pmf();
+        let run = |units: f64, collect: &mut Collect| {
+            Simulation::builder(&pmf)
+                .slots(5_000)
+                .seed(67)
+                .sensors(3)
+                .independent()
+                .run_observed(
+                    &AggressivePolicy::new(),
+                    &mut |_| Box::new(ConstantRecharge::new(Energy::from_units(units)).unwrap()),
+                    collect,
+                )
+                .unwrap()
+        };
         let mut collect = Collect::default();
-        let report = Simulation::builder(&pmf)
-            .slots(5_000)
-            .seed(67)
-            .sensors(3)
-            .independent()
-            .run_observed(
-                &AggressivePolicy::new(),
-                &mut |_| Box::new(ConstantRecharge::new(Energy::from_units(10.0)).unwrap()),
-                &mut collect,
-            )
-            .unwrap();
+        let report = run(10.0, &mut collect);
         // Aggressive + abundant energy: every sensor activates every slot, so
         // every slot is active and the reported owner is sensor 0.
         assert_eq!(collect.active_slots, report.slots);
         assert!(collect.owners.iter().all(|&o| o == 0));
+        // Scarce energy leaves slots where no sensor can activate; each
+        // reports owner 0 and state 0, whatever state the sensors were in.
+        let mut collect = Collect::default();
+        let report = run(0.05, &mut collect);
+        assert!(!collect.idle.is_empty() && collect.active_slots > 0);
+        assert_eq!(
+            collect.active_slots + collect.idle.len() as u64,
+            report.slots
+        );
+        assert!(collect.idle.iter().all(|&slot| slot == (0, 0)));
     }
 
     #[test]

@@ -56,6 +56,11 @@ grep -q '^# TYPE evcap_requests_total counter' "$OUT/metrics.prom" \
   || fail "prometheus scrape missing the requests counter TYPE line"
 grep -q '^evcap_cache_hits_total{cache="artifact",shard="' "$OUT/metrics.prom" \
   || fail "prometheus scrape missing per-shard artifact cache series"
+# The solve-fetch series count the same fetches as the JSON fields above.
+grep -qx 'evcap_solve_fetches_total{outcome="hit"} 1' "$OUT/metrics.prom" \
+  || fail "prometheus solve-fetch hits disagree with solve_cache_hits"
+grep -qx 'evcap_solve_fetches_total{outcome="miss"} 1' "$OUT/metrics.prom" \
+  || fail "prometheus solve-fetch misses disagree with solve_cache_misses"
 if grep -q 'cache="solve"' "$OUT/metrics.prom"; then
   fail "prometheus scrape still carries a solve cache tier"
 fi
